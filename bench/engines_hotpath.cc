@@ -1,9 +1,11 @@
 // Engine-level hot-path bench: BFS / PageRank / CONN on the Pregel,
-// dataflow, and graphdb engines with the pooled memory paths enabled
-// (their defaults). Where fig4_runtimes races kernel variants against each
-// other, this bench gates the *engines* end to end: a regression in the
-// arena pools, the radix shuffle, or the sharded page cache moves these
-// medians even when the kernel duel's variants shift together.
+// dataflow, and graphdb engines, each running its one pooled hot path
+// (DESIGN.md §13; `ctest -L hotpath` guards its answers with a frozen
+// oracle, this bench guards its speed). Where fig4_runtimes races kernel
+// variants against each other, this bench gates the *engines* end to end:
+// a regression in the arena pools, the radix shuffle, or the sharded page
+// cache moves these medians even when the kernel duel's variants shift
+// together.
 //
 // The committed baseline is BENCH_engines.json (scale 14); ci.sh's
 // bench-smoke stage re-runs this binary and diffs it with
@@ -23,7 +25,7 @@ int main(int argc, char** argv) {
   if (opts.kernel_scale == 18) opts.kernel_scale = 14;  // bench default
   bench::JsonEmitter emitter("engines_hotpath");
   bench::Banner("engines_hotpath",
-                "engine medians with pooled hot paths (BFS/PR/CONN)",
+                "engine medians on the pooled hot paths (BFS/PR/CONN)",
                 "choke-point analysis (§2.1): excessive messages/data "
                 "movement dominate graph-processing runtimes");
 

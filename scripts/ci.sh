@@ -4,25 +4,28 @@
 #   1. tier-1      — plain build, full test suite (the gate every PR must
 #                    hold). The `chaos` label is split out into stage 6 so
 #                    its wall-clock cost is attributed to the chaos stage.
-#   2. asan        — GLY_SANITIZE=address build running the `robustness` and
-#                    `conformance` CTest labels: fault-injection,
-#                    checkpoint/recovery, WAL/resume, cancellation, and the
-#                    cross-engine kernel-conformance suites — the paths most
-#                    valuable to run under a sanitizer.
+#   2. asan        — GLY_SANITIZE=address build running the `robustness`,
+#                    `conformance` and `hotpath` CTest labels: fault-
+#                    injection, checkpoint/recovery, WAL/resume,
+#                    cancellation, the cross-engine kernel-conformance
+#                    suites, and the hot-path frozen-oracle suite (each
+#                    engine's one pooled path against committed answers)
+#                    — the paths most valuable to run under a sanitizer.
 #   3. tsan        — GLY_SANITIZE=thread build running the `ingest`,
-#                    `observability`, `robustness`, and `scheduler` CTest
-#                    labels: the parallel ETL pipeline (chunked parsing,
-#                    parallel CSR build, reordering), the tracer/metrics-
-#                    registry concurrency stress tests, the SIGPROF
-#                    sampling-profiler stress (signal handler vs ring
-#                    drain vs worker threads, via profiler_test's
+#                    `observability`, `robustness`, `scheduler` and
+#                    `hotpath` CTest labels: the parallel ETL pipeline
+#                    (chunked parsing, parallel CSR build, reordering), the
+#                    tracer/metrics-registry concurrency stress tests, the
+#                    SIGPROF sampling-profiler stress (signal handler vs
+#                    ring drain vs worker threads, via profiler_test's
 #                    observability label), the cancellation/
 #                    watchdog/grace-join paths (harness watchdog vs attempt
-#                    thread, token polls from every engine), and the
+#                    thread, token polls from every engine), the
 #                    concurrent cell scheduler (jobs=1 vs jobs=4
 #                    differential run, admission control, shared journal
-#                    writer) under the race detector, where their bugs
-#                    would actually show.
+#                    writer), and the frozen-oracle suite's pooled arenas,
+#                    radix shuffle and striped page cache under the race
+#                    detector, where their bugs would actually show.
 #   4. observability — `ctest -L observability` in the tier-1 build (the
 #                    golden-trace, metrics round-trip, monitor, profiler,
 #                    and 4-engine trace-artifact suites), then cross-checks
@@ -41,7 +44,8 @@
 #                    validate.
 #   5. bench-smoke — fig4_runtimes kernel duel, the ext_etl_times
 #                    parse/build duel, and the engines_hotpath engine-level
-#                    bench (pooled hot paths, scale ${ENGINE_BENCH_SCALE}),
+#                    bench (each engine's one pooled hot path, scale
+#                    ${ENGINE_BENCH_SCALE}),
 #                    each gated by scripts/bench_compare.py against its
 #                    committed baseline (BENCH_kernels.json / BENCH_etl.json
 #                    / BENCH_engines.json; >10% median regression fails; see

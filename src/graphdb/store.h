@@ -48,7 +48,8 @@ struct StoreConfig {
   std::string directory;            ///< store files live here (required)
   uint64_t page_cache_bytes = 64ULL << 20;
   /// Lock-striped page cache segments; 0 = auto (min(8, capacity pages)).
-  /// The README's `graphdb.pagecache_shards` knob.
+  /// Production callers keep the auto policy; tests pin 1 shard as the
+  /// single-mutex reference.
   uint32_t page_cache_shards = 0;
 };
 

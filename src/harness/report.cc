@@ -1,8 +1,12 @@
 #include "harness/report.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -69,22 +73,75 @@ bool ExtractJsonString(std::string_view text, std::string_view key,
          std::string_view::npos;
 }
 
-bool ExtractJsonNumber(std::string_view text, std::string_view key,
-                       double* out) {
+/// The unquoted value token of `"key":` (up to the next ',' or '}'), or
+/// nullopt when the key is absent.
+std::optional<std::string> RawJsonValue(std::string_view text,
+                                        std::string_view key) {
   std::string pattern = "\"" + std::string(key) + "\":";
   size_t pos = text.find(pattern);
-  if (pos == std::string_view::npos) return false;
-  *out = std::strtod(std::string(text.substr(pos + pattern.size())).c_str(),
-                     nullptr);
-  return true;
+  if (pos == std::string_view::npos) return std::nullopt;
+  pos += pattern.size();
+  size_t end = text.find_first_of(",}", pos);
+  if (end == std::string_view::npos) end = text.size();
+  return std::string(text.substr(pos, end - pos));
 }
 
-bool ExtractJsonBool(std::string_view text, std::string_view key, bool* out) {
-  std::string pattern = "\"" + std::string(key) + "\":";
-  size_t pos = text.find(pattern);
-  if (pos == std::string_view::npos) return false;
-  *out = text.compare(pos + pattern.size(), 4, "true") == 0;
-  return true;
+Status MalformedField(std::string_view key, const std::string& raw) {
+  return Status::InvalidArgument("malformed result field " +
+                                 std::string(key) + ": '" + raw + "'");
+}
+
+// The typed extractors below leave `*out` untouched and return OK when the
+// key is absent (older journals lack newer fields), and return
+// InvalidArgument when the key is present but its value does not parse
+// exactly — a corrupted field must never resume as 0/false.
+
+/// A finite JSON number (strtod must consume the whole token; hex, inf and
+/// nan spellings are rejected).
+Status ExtractJsonNumber(std::string_view text, std::string_view key,
+                         double* out) {
+  std::optional<std::string> raw = RawJsonValue(text, key);
+  if (!raw) return Status::OK();
+  if (raw->empty() || raw->find_first_not_of("0123456789-+.eE") !=
+                          std::string::npos ||
+      (*raw)[0] == '+') {
+    return MalformedField(key, *raw);
+  }
+  char* end = nullptr;
+  const double value = std::strtod(raw->c_str(), &end);
+  if (end != raw->c_str() + raw->size() || !std::isfinite(value)) {
+    return MalformedField(key, *raw);
+  }
+  *out = value;
+  return Status::OK();
+}
+
+/// A non-negative decimal integer that fits `T`.
+template <typename T>
+Status ExtractJsonUint(std::string_view text, std::string_view key, T* out) {
+  std::optional<std::string> raw = RawJsonValue(text, key);
+  if (!raw) return Status::OK();
+  if (raw->empty() ||
+      raw->find_first_not_of("0123456789") != std::string::npos) {
+    return MalformedField(key, *raw);
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(raw->c_str(), nullptr, 10);
+  if (errno == ERANGE || value > std::numeric_limits<T>::max()) {
+    return MalformedField(key, *raw);
+  }
+  *out = static_cast<T>(value);
+  return Status::OK();
+}
+
+/// Exactly `true` or `false`.
+Status ExtractJsonBool(std::string_view text, std::string_view key,
+                       bool* out) {
+  std::optional<std::string> raw = RawJsonValue(text, key);
+  if (!raw) return Status::OK();
+  if (*raw != "true" && *raw != "false") return MalformedField(key, *raw);
+  *out = *raw == "true";
+  return Status::OK();
 }
 
 }  // namespace
@@ -375,52 +432,35 @@ Result<BenchmarkResult> ResultFromJson(const std::string& line) {
   r.validation = code == StatusCode::kOk ? Status::OK()
                                          : Status(code, "from journal");
 
-  double value = 0.0;
-  if (ExtractJsonNumber(head, "runtime_s", &value)) r.runtime_seconds = value;
-  if (ExtractJsonNumber(head, "load_s", &value)) r.load_seconds = value;
-  if (ExtractJsonNumber(head, "traversed_edges", &value)) {
-    r.traversed_edges = static_cast<uint64_t>(value);
-  }
-  if (ExtractJsonNumber(head, "teps", &value)) r.teps = value;
-  // Optional: journals from before the output-checksum field existed must
-  // still parse for resume.
-  if (ExtractJsonNumber(head, "output_checksum", &value)) {
-    r.output_checksum = static_cast<uint32_t>(value);
-  }
-  if (ExtractJsonNumber(head, "attempts", &value)) {
-    r.attempts = static_cast<uint32_t>(value);
-  }
-  ExtractJsonBool(head, "timed_out", &r.timed_out);
-  // Cancellation fields are optional: journals from before the
-  // cancellation subsystem existed must still parse for resume.
-  ExtractJsonBool(head, "cancelled", &r.cancelled);
-  ExtractJsonBool(head, "stalled", &r.stalled);
+  // Numeric and boolean fields are optional — journals written before the
+  // checksum, cancellation, recovery or tracing fields existed must still
+  // parse for resume — but a present field must parse exactly.
+  GLY_RETURN_NOT_OK(ExtractJsonNumber(head, "runtime_s", &r.runtime_seconds));
+  GLY_RETURN_NOT_OK(ExtractJsonNumber(head, "load_s", &r.load_seconds));
+  GLY_RETURN_NOT_OK(
+      ExtractJsonUint(head, "traversed_edges", &r.traversed_edges));
+  GLY_RETURN_NOT_OK(ExtractJsonNumber(head, "teps", &r.teps));
+  GLY_RETURN_NOT_OK(
+      ExtractJsonUint(head, "output_checksum", &r.output_checksum));
+  GLY_RETURN_NOT_OK(ExtractJsonUint(head, "attempts", &r.attempts));
+  GLY_RETURN_NOT_OK(ExtractJsonBool(head, "timed_out", &r.timed_out));
+  GLY_RETURN_NOT_OK(ExtractJsonBool(head, "cancelled", &r.cancelled));
+  GLY_RETURN_NOT_OK(ExtractJsonBool(head, "stalled", &r.stalled));
   ExtractJsonString(head, "cancel_reason", &r.cancel_reason);
-  if (ExtractJsonNumber(head, "cancel_join_s", &value)) {
-    r.cancel_join_seconds = value;
-  }
-  if (ExtractJsonNumber(head, "injected_faults", &value)) {
-    r.injected_faults = static_cast<uint64_t>(value);
-  }
-  ExtractJsonBool(head, "resumed", &r.resumed);
-  if (ExtractJsonNumber(head, "recoveries", &value)) {
-    r.recoveries = static_cast<uint64_t>(value);
-  }
-  if (ExtractJsonNumber(head, "supersteps_replayed", &value)) {
-    r.supersteps_replayed = static_cast<uint64_t>(value);
-  }
-  if (ExtractJsonNumber(head, "peak_rss_bytes", &value)) {
-    r.resources.peak_rss_bytes = static_cast<uint64_t>(value);
-  }
-  // Observability fields are optional: journals written before tracing
-  // existed (or with it off) must still parse for resume.
-  if (ExtractJsonNumber(head, "trace_spans", &value)) {
-    r.trace_spans = static_cast<uint64_t>(value);
-  }
+  GLY_RETURN_NOT_OK(
+      ExtractJsonNumber(head, "cancel_join_s", &r.cancel_join_seconds));
+  GLY_RETURN_NOT_OK(
+      ExtractJsonUint(head, "injected_faults", &r.injected_faults));
+  GLY_RETURN_NOT_OK(ExtractJsonBool(head, "resumed", &r.resumed));
+  GLY_RETURN_NOT_OK(ExtractJsonUint(head, "recoveries", &r.recoveries));
+  GLY_RETURN_NOT_OK(
+      ExtractJsonUint(head, "supersteps_replayed", &r.supersteps_replayed));
+  GLY_RETURN_NOT_OK(ExtractJsonUint(head, "peak_rss_bytes",
+                                    &r.resources.peak_rss_bytes));
+  GLY_RETURN_NOT_OK(ExtractJsonUint(head, "trace_spans", &r.trace_spans));
   ExtractJsonString(head, "top_phases", &r.top_phases);
-  if (ExtractJsonNumber(head, "critical_path_s", &value)) {
-    r.critical_path_seconds = value;
-  }
+  GLY_RETURN_NOT_OK(ExtractJsonNumber(head, "critical_path_s",
+                                      &r.critical_path_seconds));
 
   if (metrics_pos != std::string::npos) {
     size_t pos = metrics_pos + std::string_view("\"metrics\":{").size();

@@ -1,16 +1,21 @@
-// Hot-path memory model parity suite (`ctest -L hotpath`, DESIGN.md §13).
+// Hot-path frozen-oracle suite (`ctest -L hotpath`, DESIGN.md §13).
 //
-// The pooled hot paths — arena outboxes with sender-side combining in
-// Pregel, recycled partition buffers and the radix shuffle in dataflow, the
-// lock-striped clock page cache in graphdb — are performance refactors with
-// an exact-equivalence contract: results must be *bit-identical* to the
-// legacy heap paths they replaced, across thread counts, under injected
-// faults, and through mid-superstep cancellation. This suite pins that
-// contract: every test runs the same workload with the pooled knob on and
-// off (EngineConfig::outbox_pool, ContextConfig::pooled_buffers,
-// StoreConfig::page_cache_shards) and compares outputs verbatim — the same
-// comparison the Output Validator would apply to a journal's
-// output_checksum. ci.sh runs the suite under both ASan and TSan.
+// Each engine has one hot path: arena outboxes with sender-side combining
+// in Pregel, recycled partition buffers and the radix shuffle in dataflow,
+// the lock-striped clock page cache in graphdb. They replaced per-superstep
+// heap containers and per-record appends under an exact-equivalence
+// contract, so the answers of the replaced heap paths are committed here as
+// a frozen oracle: for every cell of TestGraph() x {BFS, CONN, PR, CD} x
+// {1, 2, 8} threads/partitions the output checksum (harness::OutputChecksum,
+// the value a journal records as output_checksum) and traversed edges, plus
+// superstep and message counts for Pregel, and for the seeded message-drop
+// runs the drop count. The constants were produced by running the heap
+// paths on this graph and cross-checked against the pooled paths, which
+// reproduced every value. Checksums cover PR's doubles bit for bit, so they
+// hold for IEEE builds without -ffast-math. A mismatch means the hot path
+// changed an answer, not that the oracle needs regenerating. Failure
+// behaviour (worker crash, mid-superstep cancellation, shuffle fault) is
+// checked on the one path. ci.sh runs the suite under both ASan and TSan.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +32,7 @@
 #include "graphdb/algorithms.h"
 #include "graphdb/page_cache.h"
 #include "graphdb/store.h"
+#include "harness/validator.h"
 #include "pregel/algorithms.h"
 
 namespace gly {
@@ -61,219 +67,230 @@ AlgorithmParams TestParams() {
   return params;
 }
 
-const AlgorithmKind kKinds[] = {AlgorithmKind::kBfs, AlgorithmKind::kConn,
-                                AlgorithmKind::kPr, AlgorithmKind::kCd};
 const uint32_t kThreadCounts[] = {1, 2, 8};
 
 // Bit-exact output comparison: the validator journals a checksum over
 // vertex_values / vertex_scores, so "equal journals" means these vectors
 // match verbatim (doubles compared by ==, not a tolerance).
-void ExpectSameOutput(const AlgorithmOutput& pooled,
-                      const AlgorithmOutput& legacy, const std::string& what) {
-  EXPECT_EQ(pooled.vertex_values, legacy.vertex_values) << what;
-  ASSERT_EQ(pooled.vertex_scores.size(), legacy.vertex_scores.size()) << what;
-  for (size_t i = 0; i < pooled.vertex_scores.size(); ++i) {
-    EXPECT_EQ(pooled.vertex_scores[i], legacy.vertex_scores[i])
+void ExpectSameOutput(const AlgorithmOutput& got, const AlgorithmOutput& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.vertex_values, want.vertex_values) << what;
+  ASSERT_EQ(got.vertex_scores.size(), want.vertex_scores.size()) << what;
+  for (size_t i = 0; i < got.vertex_scores.size(); ++i) {
+    EXPECT_EQ(got.vertex_scores[i], want.vertex_scores[i])
         << what << " score of vertex " << i;
   }
-  EXPECT_EQ(pooled.traversed_edges, legacy.traversed_edges) << what;
+  EXPECT_EQ(got.traversed_edges, want.traversed_edges) << what;
+}
+
+// One recorded cell of the frozen oracle.
+struct OracleCell {
+  AlgorithmKind kind;
+  uint32_t threads;  ///< Pregel threads / dataflow partitions
+  uint32_t checksum;
+  uint64_t traversed_edges;
+  uint32_t supersteps = 0;      ///< Pregel only
+  uint64_t total_messages = 0;  ///< Pregel only
+};
+
+std::string CellName(const OracleCell& cell) {
+  return AlgorithmKindName(cell.kind) + " @" + std::to_string(cell.threads);
+}
+
+void ExpectOracleOutput(const AlgorithmOutput& out, const OracleCell& cell,
+                        const std::string& what) {
+  EXPECT_EQ(harness::OutputChecksum(out), cell.checksum) << what;
+  EXPECT_EQ(out.traversed_edges, cell.traversed_edges) << what;
 }
 
 // ------------------------------------------------------------------ Pregel
 
-pregel::EngineConfig PregelConfig(bool pooled, uint32_t threads) {
+// Pregel answers are independent of the thread count; equal superstep and
+// message counts pin the combined message stream, not just the answer.
+constexpr OracleCell kPregelOracle[] = {
+    {AlgorithmKind::kBfs, 1, 0xd7882d3du, 5443, 5, 5443},
+    {AlgorithmKind::kBfs, 2, 0xd7882d3du, 5443, 5, 5443},
+    {AlgorithmKind::kBfs, 8, 0xd7882d3du, 5443, 5, 5443},
+    {AlgorithmKind::kConn, 1, 0x284d4c20u, 12212, 5, 12212},
+    {AlgorithmKind::kConn, 2, 0x284d4c20u, 12212, 5, 12212},
+    {AlgorithmKind::kConn, 8, 0x284d4c20u, 12212, 5, 12212},
+    {AlgorithmKind::kPr, 1, 0x134d0defu, 31624, 9, 31624},
+    {AlgorithmKind::kPr, 2, 0x134d0defu, 31624, 9, 31624},
+    {AlgorithmKind::kPr, 8, 0x134d0defu, 31624, 9, 31624},
+    {AlgorithmKind::kCd, 1, 0x284d4c20u, 58440, 7, 58440},
+    {AlgorithmKind::kCd, 2, 0x284d4c20u, 58440, 7, 58440},
+    {AlgorithmKind::kCd, 8, 0x284d4c20u, 58440, 7, 58440},
+};
+
+pregel::EngineConfig PregelConfig(uint32_t threads) {
   pregel::EngineConfig config;
   config.num_workers = 8;
   config.num_threads = threads;
-  config.outbox_pool = pooled;
   return config;
+}
+
+void ExpectPregelOracle(const Result<AlgorithmOutput>& out,
+                        const pregel::RunStats& stats, const OracleCell& cell,
+                        const std::string& what) {
+  ASSERT_TRUE(out.ok()) << what << ": " << out.status().ToString();
+  ExpectOracleOutput(*out, cell, what);
+  EXPECT_EQ(stats.supersteps, cell.supersteps) << what;
+  EXPECT_EQ(stats.total_messages, cell.total_messages) << what;
 }
 
 TEST(PregelHotpathParity, PooledMatchesLegacyAcrossThreadCounts) {
   const Graph g = TestGraph();
   const AlgorithmParams params = TestParams();
-  for (AlgorithmKind kind : kKinds) {
-    for (uint32_t threads : kThreadCounts) {
-      pregel::RunStats pooled_stats, legacy_stats;
-      pregel::Engine pooled_engine(PregelConfig(true, threads));
-      auto pooled =
-          pregel::RunAlgorithm(pooled_engine, g, kind, params, &pooled_stats);
-      pregel::Engine legacy_engine(PregelConfig(false, threads));
-      auto legacy =
-          pregel::RunAlgorithm(legacy_engine, g, kind, params, &legacy_stats);
-      const std::string what = std::string(AlgorithmKindName(kind)) + " @" +
-                               std::to_string(threads) + " threads";
-      ASSERT_TRUE(pooled.ok()) << what << ": " << pooled.status().ToString();
-      ASSERT_TRUE(legacy.ok()) << what << ": " << legacy.status().ToString();
-      ExpectSameOutput(*pooled, *legacy, what);
-      // Same computation shape, not just the same answer: equal superstep
-      // and message counts mean the pooled combiner really emitted the
-      // same message stream.
-      EXPECT_EQ(pooled_stats.supersteps, legacy_stats.supersteps) << what;
-      EXPECT_EQ(pooled_stats.total_messages, legacy_stats.total_messages)
-          << what;
-    }
+  for (const OracleCell& cell : kPregelOracle) {
+    pregel::RunStats stats;
+    pregel::Engine engine(PregelConfig(cell.threads));
+    auto out = pregel::RunAlgorithm(engine, g, cell.kind, params, &stats);
+    ExpectPregelOracle(out, stats, cell, CellName(cell) + " threads");
   }
 }
 
 TEST(PregelHotpathParity, FixedPartitionScheduleAlsoMatches) {
-  // steal_chunk_vertices = 0 selects the fixed one-task-per-worker
-  // schedule; the pooled arenas are shared by both dispatch modes.
+  // steal_chunk_vertices = 0 makes each worker's vertex list one chunk
+  // (the fixed one-task-per-worker schedule); the arenas are shared by
+  // every chunk size.
   const Graph g = TestGraph();
   const AlgorithmParams params = TestParams();
-  for (bool pooled : {true, false}) {
-    pregel::EngineConfig config = PregelConfig(pooled, 2);
-    config.steal_chunk_vertices = 0;
-    pregel::Engine engine(config);
-    auto fixed = pregel::RunAlgorithm(engine, g, AlgorithmKind::kBfs, params);
-    pregel::Engine steal_engine(PregelConfig(pooled, 2));
-    auto steal =
-        pregel::RunAlgorithm(steal_engine, g, AlgorithmKind::kBfs, params);
-    ASSERT_TRUE(fixed.ok());
-    ASSERT_TRUE(steal.ok());
-    ExpectSameOutput(*fixed, *steal,
-                     pooled ? "pooled fixed-vs-steal" : "legacy fixed-vs-steal");
-  }
+  const OracleCell& cell = kPregelOracle[1];  // BFS @2 threads
+  pregel::EngineConfig config = PregelConfig(cell.threads);
+  config.steal_chunk_vertices = 0;
+  pregel::Engine engine(config);
+  pregel::RunStats stats;
+  auto out = pregel::RunAlgorithm(engine, g, cell.kind, params, &stats);
+  ExpectPregelOracle(out, stats, cell, "fixed schedule " + CellName(cell));
 }
 
 TEST(PregelHotpathParity, IdenticalUnderDeterministicMessageDrops) {
   // With one thread the i-th hit of pregel.message.deliver is the i-th
-  // delivered message, so a seeded drop plan selects the *same* messages in
-  // both modes — if and only if pooled and legacy produce identical
-  // delivery streams. Equal outputs and equal trigger counts pin that.
+  // delivered message, so a seeded drop plan selects the same messages
+  // exactly when the delivery stream is the recorded one. Equal outputs,
+  // counts and trigger counts pin that stream.
+  struct DropCell {
+    OracleCell cell;
+    uint64_t dropped;
+  };
+  constexpr DropCell kDropOracle[] = {
+      {{AlgorithmKind::kBfs, 1, 0xde5e5b8du, 4556, 6, 4556}, 1492},
+      {{AlgorithmKind::kConn, 1, 0x284d4c20u, 9673, 6, 9673}, 3189},
+  };
   const Graph g = TestGraph();
   const AlgorithmParams params = TestParams();
-  for (AlgorithmKind kind : {AlgorithmKind::kBfs, AlgorithmKind::kConn}) {
-    auto run = [&](bool pooled, uint64_t* dropped) {
-      fault::FaultPlan plan(/*seed=*/1234);
-      plan.Add({.site = "pregel.message.deliver",
-                .kind = fault::FaultKind::kDrop,
-                .probability = 0.25});
-      fault::ScopedFaultPlan active(&plan);
-      pregel::Engine engine(PregelConfig(pooled, 1));
-      auto out = pregel::RunAlgorithm(engine, g, kind, params);
-      *dropped = plan.TriggeredCount("pregel.message.deliver");
-      return out;
-    };
-    uint64_t pooled_dropped = 0, legacy_dropped = 0;
-    auto pooled = run(true, &pooled_dropped);
-    auto legacy = run(false, &legacy_dropped);
-    const std::string what =
-        std::string(AlgorithmKindName(kind)) + " under message drops";
-    ASSERT_TRUE(pooled.ok()) << what;
-    ASSERT_TRUE(legacy.ok()) << what;
-    EXPECT_GT(pooled_dropped, 0u) << what;
-    EXPECT_EQ(pooled_dropped, legacy_dropped) << what;
-    ExpectSameOutput(*pooled, *legacy, what);
+  for (const DropCell& drop : kDropOracle) {
+    fault::FaultPlan plan(/*seed=*/1234);
+    plan.Add({.site = "pregel.message.deliver",
+              .kind = fault::FaultKind::kDrop,
+              .probability = 0.25});
+    fault::ScopedFaultPlan active(&plan);
+    pregel::Engine engine(PregelConfig(drop.cell.threads));
+    pregel::RunStats stats;
+    auto out = pregel::RunAlgorithm(engine, g, drop.cell.kind, params, &stats);
+    const std::string what = CellName(drop.cell) + " under message drops";
+    ExpectPregelOracle(out, stats, drop.cell, what);
+    EXPECT_EQ(plan.TriggeredCount("pregel.message.deliver"), drop.dropped)
+        << what;
   }
 }
 
 TEST(PregelHotpathParity, SameFailureStatusUnderWorkerCrash) {
-  // A journal records a failed cell's status; pooled and legacy must
-  // journal the same failure for the same injected crash.
+  // A journal records a failed cell's status; the injected crash must
+  // journal Internal, as it did before the hot path existed.
   const Graph g = TestGraph();
   const AlgorithmParams params = TestParams();
   for (uint32_t threads : kThreadCounts) {
-    auto run = [&](bool pooled) {
-      fault::FaultPlan plan(/*seed=*/99);
-      plan.Add({.site = "pregel.worker.compute",
-                .kind = fault::FaultKind::kCrash,
-                .skip_hits = 2,
-                .max_triggers = 1});
-      fault::ScopedFaultPlan active(&plan);
-      pregel::Engine engine(PregelConfig(pooled, threads));
-      return pregel::RunAlgorithm(engine, g, AlgorithmKind::kBfs, params);
-    };
-    auto pooled = run(true);
-    auto legacy = run(false);
-    EXPECT_FALSE(pooled.ok()) << threads << " threads";
-    EXPECT_FALSE(legacy.ok()) << threads << " threads";
-    EXPECT_EQ(pooled.status().code(), legacy.status().code())
-        << threads << " threads: " << pooled.status().ToString() << " vs "
-        << legacy.status().ToString();
-    EXPECT_TRUE(pooled.status().IsInternal()) << pooled.status().ToString();
+    fault::FaultPlan plan(/*seed=*/99);
+    plan.Add({.site = "pregel.worker.compute",
+              .kind = fault::FaultKind::kCrash,
+              .skip_hits = 2,
+              .max_triggers = 1});
+    fault::ScopedFaultPlan active(&plan);
+    pregel::Engine engine(PregelConfig(threads));
+    auto out = pregel::RunAlgorithm(engine, g, AlgorithmKind::kBfs, params);
+    EXPECT_FALSE(out.ok()) << threads << " threads";
+    EXPECT_TRUE(out.status().IsInternal())
+        << threads << " threads: " << out.status().ToString();
   }
 }
 
-TEST(PregelHotpathParity, MidSuperstepCancellationStopsBothModes) {
+TEST(PregelHotpathParity, MidSuperstepCancellationReturnsTimeout) {
   // A stall injected inside a compute chunk holds the run mid-superstep
-  // while another thread arms the deadline token; both memory models must
-  // notice at the next poll and unwind with Timeout — the pooled arenas
-  // must not skip the cancellation checks the legacy path honored.
+  // while another thread arms the deadline token; the engine must notice
+  // at the next poll and unwind with Timeout — the arenas must not skip
+  // the cancellation checks.
   const Graph g = TestGraph();
-  const AlgorithmParams base = TestParams();
-  for (bool pooled : {true, false}) {
-    fault::FaultPlan plan(/*seed=*/5);
-    plan.Add({.site = "pregel.worker.compute",
-              .kind = fault::FaultKind::kStall,
-              .skip_hits = 1,
-              .max_triggers = 2,
-              .delay_seconds = 0.4});
-    fault::ScopedFaultPlan active(&plan);
-    CancelToken token;
-    std::thread canceller([&token] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      token.Cancel(CancelReason::kDeadline, "mid-superstep deadline");
-    });
-    pregel::EngineConfig config = PregelConfig(pooled, 2);
-    config.cancel = &token;
-    AlgorithmParams params = base;
-    params.cancel = &token;
-    pregel::Engine engine(config);
-    auto out = pregel::RunAlgorithm(engine, g, AlgorithmKind::kPr, params);
-    canceller.join();
-    EXPECT_FALSE(out.ok()) << (pooled ? "pooled" : "legacy");
-    EXPECT_TRUE(out.status().IsTimeout())
-        << (pooled ? "pooled: " : "legacy: ") << out.status().ToString();
-  }
+  AlgorithmParams params = TestParams();
+  fault::FaultPlan plan(/*seed=*/5);
+  plan.Add({.site = "pregel.worker.compute",
+            .kind = fault::FaultKind::kStall,
+            .skip_hits = 1,
+            .max_triggers = 2,
+            .delay_seconds = 0.4});
+  fault::ScopedFaultPlan active(&plan);
+  CancelToken token;
+  std::thread canceller([&token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    token.Cancel(CancelReason::kDeadline, "mid-superstep deadline");
+  });
+  pregel::EngineConfig config = PregelConfig(2);
+  config.cancel = &token;
+  params.cancel = &token;
+  pregel::Engine engine(config);
+  auto out = pregel::RunAlgorithm(engine, g, AlgorithmKind::kPr, params);
+  canceller.join();
+  EXPECT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsTimeout()) << out.status().ToString();
 }
 
 // ---------------------------------------------------------------- Dataflow
 
+// PR's floating-point sums follow partition order, so its checksum depends
+// on the partition count; the other kernels' answers do not.
+constexpr OracleCell kDataflowOracle[] = {
+    {AlgorithmKind::kBfs, 1, 0xd7882d3du, 3189},
+    {AlgorithmKind::kBfs, 2, 0xd7882d3du, 3189},
+    {AlgorithmKind::kBfs, 8, 0xd7882d3du, 3189},
+    {AlgorithmKind::kConn, 1, 0x284d4c20u, 2171},
+    {AlgorithmKind::kConn, 2, 0x284d4c20u, 2171},
+    {AlgorithmKind::kConn, 8, 0x284d4c20u, 2171},
+    {AlgorithmKind::kPr, 1, 0xc50b1a93u, 4800},
+    {AlgorithmKind::kPr, 2, 0x2bb19a4au, 4800},
+    {AlgorithmKind::kPr, 8, 0x585996c9u, 4800},
+    {AlgorithmKind::kCd, 1, 0x284d4c20u, 3600},
+    {AlgorithmKind::kCd, 2, 0x284d4c20u, 3600},
+    {AlgorithmKind::kCd, 8, 0x284d4c20u, 3600},
+};
+
 TEST(DataflowHotpathParity, PooledMatchesLegacyAcrossPartitionCounts) {
   const Graph g = TestGraph();
   const AlgorithmParams params = TestParams();
-  for (AlgorithmKind kind : kKinds) {
-    for (uint32_t parts : kThreadCounts) {
-      dataflow::ContextConfig pooled_config;
-      pooled_config.num_partitions = parts;
-      pooled_config.num_threads = parts;
-      pooled_config.pooled_buffers = true;
-      dataflow::ContextConfig legacy_config = pooled_config;
-      legacy_config.pooled_buffers = false;
-      auto pooled = dataflow::RunAlgorithm(pooled_config, g, kind, params);
-      auto legacy = dataflow::RunAlgorithm(legacy_config, g, kind, params);
-      const std::string what = std::string(AlgorithmKindName(kind)) + " @" +
-                               std::to_string(parts) + " partitions";
-      ASSERT_TRUE(pooled.ok()) << what << ": " << pooled.status().ToString();
-      ASSERT_TRUE(legacy.ok()) << what << ": " << legacy.status().ToString();
-      ExpectSameOutput(*pooled, *legacy, what);
-    }
+  for (const OracleCell& cell : kDataflowOracle) {
+    dataflow::ContextConfig config;
+    config.num_partitions = cell.threads;
+    config.num_threads = cell.threads;
+    auto out = dataflow::RunAlgorithm(config, g, cell.kind, params);
+    const std::string what = CellName(cell) + " partitions";
+    ASSERT_TRUE(out.ok()) << what << ": " << out.status().ToString();
+    ExpectOracleOutput(*out, cell, what);
   }
 }
 
 TEST(DataflowHotpathParity, SameFailureStatusUnderShuffleFault) {
   const Graph g = TestGraph();
   const AlgorithmParams params = TestParams();
-  auto run = [&](bool pooled) {
-    fault::FaultPlan plan(/*seed=*/17);
-    plan.Add({.site = "dataflow.shuffle",
-              .kind = fault::FaultKind::kIOError,
-              .skip_hits = 1,
-              .max_triggers = 1});
-    fault::ScopedFaultPlan active(&plan);
-    dataflow::ContextConfig config;
-    config.num_partitions = 4;
-    config.pooled_buffers = pooled;
-    return dataflow::RunAlgorithm(config, g, AlgorithmKind::kConn, params);
-  };
-  auto pooled = run(true);
-  auto legacy = run(false);
-  EXPECT_FALSE(pooled.ok());
-  EXPECT_FALSE(legacy.ok());
-  EXPECT_EQ(pooled.status().code(), legacy.status().code())
-      << pooled.status().ToString() << " vs " << legacy.status().ToString();
-  EXPECT_TRUE(pooled.status().IsIOError()) << pooled.status().ToString();
+  fault::FaultPlan plan(/*seed=*/17);
+  plan.Add({.site = "dataflow.shuffle",
+            .kind = fault::FaultKind::kIOError,
+            .skip_hits = 1,
+            .max_triggers = 1});
+  fault::ScopedFaultPlan active(&plan);
+  dataflow::ContextConfig config;
+  config.num_partitions = 4;
+  auto out = dataflow::RunAlgorithm(config, g, AlgorithmKind::kConn, params);
+  EXPECT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsIOError()) << out.status().ToString();
 }
 
 TEST(DataflowHotpathParity, CancellationStopsPooledRuns) {
@@ -293,7 +310,6 @@ TEST(DataflowHotpathParity, CancellationStopsPooledRuns) {
   });
   dataflow::ContextConfig config;
   config.num_partitions = 4;
-  config.pooled_buffers = true;
   config.cancel = &token;
   params.cancel = &token;
   auto out = dataflow::RunAlgorithm(config, g, AlgorithmKind::kPr, params);

@@ -9,6 +9,8 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -399,6 +401,67 @@ TEST(ResumeTest, ResultJsonRoundTrips) {
   EXPECT_FALSE(ResultFromJson("{\"platform\":\"x\"}").ok());
 }
 
+// A journal line with one field's value replaced by `raw`.
+std::string WithField(const std::string& line, const std::string& key,
+                      const std::string& raw) {
+  const std::string pattern = "\"" + key + "\":";
+  const size_t begin = line.find(pattern) + pattern.size();
+  const size_t end = line.find_first_of(",}", begin);
+  return line.substr(0, begin) + raw + line.substr(end);
+}
+
+TEST(ResumeTest, ResultJsonRejectsMalformedNumbersAndBooleans) {
+  BenchmarkResult r;
+  r.platform = "giraph";
+  r.graph = "toy";
+  r.algorithm = AlgorithmKind::kBfs;
+  r.runtime_seconds = 1.5;
+  r.attempts = 1;
+  const std::string line = ResultToJson(r);
+  ASSERT_TRUE(ResultFromJson(line).ok());
+
+  // A corrupted field is a malformed record (LoadJournal then skips the
+  // line and re-runs the cell), never a silent 0/false.
+  const std::pair<const char*, const char*> corrupt[] = {
+      {"runtime_s", "abc"},      {"runtime_s", ""},
+      {"runtime_s", "1.5x"},     {"runtime_s", "nan"},
+      {"runtime_s", "0x10"},     {"teps", "+1"},
+      {"attempts", "-1"},        {"attempts", "1.5"},
+      {"attempts", "4294967296"}, {"output_checksum", ""},
+      {"traversed_edges", "99999999999999999999"},
+      {"timed_out", "tru"},      {"timed_out", "1"},
+      {"timed_out", ""},         {"resumed", "TRUE"},
+  };
+  for (const auto& [key, raw] : corrupt) {
+    auto parsed = ResultFromJson(WithField(line, key, raw));
+    EXPECT_FALSE(parsed.ok()) << key << " = '" << raw << "'";
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << key << ": " << parsed.status().ToString();
+  }
+
+  // Optional fields may be absent: only the required strings remain.
+  auto minimal =
+      ResultFromJson(line.substr(0, line.find(",\"runtime_s\"")) + "}");
+  ASSERT_TRUE(minimal.ok()) << minimal.status().ToString();
+  EXPECT_EQ(minimal->runtime_seconds, 0.0);
+  EXPECT_EQ(minimal->attempts, 0u);
+  EXPECT_FALSE(minimal->timed_out);
+
+  // Every value ResultToJson writes parses back, extremes included.
+  r.runtime_seconds = 0.0;
+  r.teps = 1e12;
+  r.traversed_edges = std::numeric_limits<uint64_t>::max();
+  r.output_checksum = std::numeric_limits<uint32_t>::max();
+  r.attempts = std::numeric_limits<uint32_t>::max();
+  r.timed_out = r.cancelled = r.stalled = r.resumed = true;
+  r.cancel_join_seconds = 2.25;
+  r.critical_path_seconds = 0.5;
+  r.trace_spans = 7;
+  auto round = ResultFromJson(ResultToJson(r));
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(ResultToJson(*round), ResultToJson(r));
+}
+
 TEST(ResumeTest, ResumeReExecutesOnlyUnfinishedCells) {
   Graph g = RandomUndirected(100, 300, 81);
   auto dir = TempDir::Create("gly-resume");
@@ -453,6 +516,35 @@ TEST(ResumeTest, ResumeReExecutesOnlyUnfinishedCells) {
   auto fourth = RunBenchmark(spec);
   ASSERT_TRUE(fourth.ok());
   for (const BenchmarkResult& r : *fourth) EXPECT_FALSE(r.resumed);
+}
+
+TEST(ResumeTest, CorruptedJournalFieldReRunsTheCell) {
+  // A journaled cell whose `timed_out` flag was corrupted on disk must not
+  // resume as "not timed out": the line is skipped and the cell re-runs.
+  Graph g = RandomUndirected(100, 300, 83);
+  auto dir = TempDir::Create("gly-resume");
+  ASSERT_TRUE(dir.ok());
+  RunSpec spec = BaseSpec(&g, "reference");
+  spec.journal_path = dir->File("journal.jsonl");
+  ASSERT_TRUE(RunBenchmark(spec).ok());
+
+  std::string journal;
+  {
+    std::ifstream in(spec.journal_path);
+    std::getline(in, journal);
+  }
+  ASSERT_NE(journal.find("\"timed_out\":false"), std::string::npos);
+  {
+    std::ofstream out(spec.journal_path, std::ios::trunc);
+    out << WithField(journal, "timed_out", "flase") << '\n';
+  }
+  spec.resume = true;
+  size_t executed = 0;
+  auto resumed = RunBenchmark(spec, [&executed](const BenchmarkResult& r) {
+    if (!r.resumed) ++executed;
+  });
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(executed, 1u);
 }
 
 TEST(ResumeTest, FailedValidationIsNotReused) {

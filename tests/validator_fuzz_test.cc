@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -95,14 +97,18 @@ std::vector<NamedGraph> Corpus() {
 const std::vector<AlgorithmKind> kKinds = {
     AlgorithmKind::kBfs, AlgorithmKind::kConn, AlgorithmKind::kPr};
 
-/// Perturbs one vertex of `output`: +1 on the integer value for BFS/CONN,
+/// Perturbs one vertex of `output`: +1 on the integer value for BFS/CONN
+/// (-1 on BFS's kUnreachable = INT64_MAX sentinel, so an unreachable
+/// vertex is still perturbed, into a finite distance, without signed
+/// overflow),
 /// a 1e-3 relative bump on the PR score (far outside the validator's 1e-9
 /// tolerance, far inside what a "roughly right" buggy engine produces).
 void PerturbVertex(AlgorithmKind kind, size_t vertex, AlgorithmOutput* out) {
   if (kind == AlgorithmKind::kPr) {
     out->vertex_scores[vertex] *= 1.001;
   } else {
-    out->vertex_values[vertex] += 1;
+    int64_t& value = out->vertex_values[vertex];
+    value = value == kUnreachable ? value - 1 : value + 1;
   }
 }
 
@@ -133,6 +139,12 @@ TEST(ValidatorFuzzTest, RejectsEverySingleVertexPerturbation) {
       // (first/last vertex are where off-by-one comparisons slip).
       std::vector<size_t> victims = {0, n - 1};
       for (int i = 0; i < 6; ++i) victims.push_back(rng.NextBounded(n));
+      // BFS: also an unreachable vertex, if any (the sentinel perturbation).
+      const auto& values = reference.vertex_values;
+      auto unreached = std::find(values.begin(), values.end(), kUnreachable);
+      if (kind == AlgorithmKind::kBfs && unreached != values.end()) {
+        victims.push_back(static_cast<size_t>(unreached - values.begin()));
+      }
       for (size_t vertex : victims) {
         AlgorithmOutput mutated = reference;
         PerturbVertex(kind, vertex, &mutated);
