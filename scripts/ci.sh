@@ -8,9 +8,10 @@
 #                    `conformance` and `hotpath` CTest labels: fault-
 #                    injection, checkpoint/recovery, WAL/resume,
 #                    cancellation, the cross-engine kernel-conformance
-#                    suites, and the hot-path frozen-oracle suite (each
-#                    engine's one pooled path against committed answers)
-#                    — the paths most valuable to run under a sanitizer.
+#                    suites, and the hot-path frozen-oracle suites (each
+#                    engine's one pooled path, and MapReduce's arena
+#                    record path, against committed answers) — the paths
+#                    most valuable to run under a sanitizer.
 #   3. tsan        — GLY_SANITIZE=thread build running the `ingest`,
 #                    `observability`, `robustness`, `scheduler` and
 #                    `hotpath` CTest labels: the parallel ETL pipeline
@@ -23,9 +24,10 @@
 #                    thread, token polls from every engine), the
 #                    concurrent cell scheduler (jobs=1 vs jobs=4
 #                    differential run, admission control, shared journal
-#                    writer), and the frozen-oracle suite's pooled arenas,
-#                    radix shuffle and striped page cache under the race
-#                    detector, where their bugs would actually show.
+#                    writer), and the frozen-oracle suites' pooled arenas,
+#                    radix shuffle, striped page cache and MapReduce
+#                    record views under the race detector, where their
+#                    bugs would actually show.
 #   4. observability — `ctest -L observability` in the tier-1 build (the
 #                    golden-trace, metrics round-trip, monitor, profiler,
 #                    and 4-engine trace-artifact suites), then cross-checks

@@ -3,6 +3,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -63,10 +64,17 @@ double SelfProcReader::NowSeconds() {
 }
 
 uint64_t SelfProcReader::PeakRssBytes() {
+  // ru_maxrss and statm's resident count are kept by different kernel
+  // counters and can disagree by a few pages, so a high-water mark read
+  // alone may sit below a current reading; the larger of the two is a
+  // high-water mark that never does.
+  uint64_t peak = 0;
   struct rusage usage;
-  if (::getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  // Linux reports ru_maxrss in kilobytes.
-  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
+  if (::getrusage(RUSAGE_SELF, &usage) == 0) {
+    // Linux reports ru_maxrss in kilobytes.
+    peak = static_cast<uint64_t>(usage.ru_maxrss) * 1024;
+  }
+  return std::max(peak, SystemMonitor::CurrentRssBytes());
 }
 
 ProcReader& SystemMonitor::reader() {

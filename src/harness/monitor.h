@@ -48,7 +48,8 @@ class ProcReader {
 };
 
 /// ProcReader over /proc/self (statm for RSS, stat for CPU) plus
-/// getrusage for the kernel's peak-RSS high-water mark.
+/// getrusage for the kernel's peak-RSS high-water mark, which it reports
+/// as never below the current statm reading.
 class SelfProcReader : public ProcReader {
  public:
   uint64_t RssBytes() override;

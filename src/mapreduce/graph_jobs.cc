@@ -1,7 +1,9 @@
 #include "mapreduce/graph_jobs.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
@@ -19,77 +21,108 @@ namespace {
 // Two record flavors share the (key = vertex id) keyspace:
 //   'G' — graph record: vertex state + adjacency
 //   'M' — message record: (i64, double) payload
+// Decoding reads fixed fields by value and leaves the adjacency in place in
+// the record bytes, so neither side builds a heap container per record.
 constexpr char kGraphTag = 'G';
 constexpr char kMessageTag = 'M';
 
+// A graph record; `adjacency` holds `degree` u32 vertex ids (little-endian,
+// as ValueWriter writes them) and views either the decoded record's bytes
+// or a caller's id array.
 struct GraphRecord {
   int64_t state = 0;
   double aux = 0.0;
   uint8_t changed = 0;
-  std::vector<VertexId> adjacency;
+  uint32_t degree = 0;
+  std::string_view adjacency;
+
+  VertexId Neighbor(uint32_t i) const {
+    VertexId v;
+    std::memcpy(&v, adjacency.data() + size_t{i} * sizeof(VertexId),
+                sizeof(v));
+    return v;
+  }
 };
 
-std::string EncodeGraphRecord(const GraphRecord& rec) {
-  std::string out;
-  out.push_back(kGraphTag);
-  ValueWriter w(&out);
+// Encodes `rec` into `*out` (cleared first) and returns a view of it.
+std::string_view EncodeGraphRecord(const GraphRecord& rec, std::string* out) {
+  out->clear();
+  out->push_back(kGraphTag);
+  ValueWriter w(out);
   w.PutI64(rec.state);
   w.PutDouble(rec.aux);
   w.PutU32(rec.changed);
-  w.PutU32(static_cast<uint32_t>(rec.adjacency.size()));
-  for (VertexId v : rec.adjacency) w.PutU32(v);
-  return out;
+  w.PutU32(rec.degree);
+  w.PutRaw(rec.adjacency.data(), rec.adjacency.size());
+  return *out;
 }
 
-Result<GraphRecord> DecodeGraphRecord(const std::string& value) {
+Result<GraphRecord> DecodeGraphRecord(std::string_view value) {
   if (value.empty() || value[0] != kGraphTag) {
     return Status::InvalidArgument("not a graph record");
   }
-  // Skip the tag byte by re-reading through a trimmed view.
-  std::string body = value.substr(1);
-  ValueReader br(body);
+  ValueReader br(value.substr(1));
   GraphRecord rec;
   GLY_ASSIGN_OR_RETURN(rec.state, br.GetI64());
   GLY_ASSIGN_OR_RETURN(rec.aux, br.GetDouble());
   GLY_ASSIGN_OR_RETURN(uint32_t changed, br.GetU32());
   rec.changed = static_cast<uint8_t>(changed);
-  GLY_ASSIGN_OR_RETURN(uint32_t n, br.GetU32());
-  rec.adjacency.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    GLY_ASSIGN_OR_RETURN(uint32_t v, br.GetU32());
-    rec.adjacency.push_back(v);
-  }
+  GLY_ASSIGN_OR_RETURN(rec.degree, br.GetU32());
+  GLY_ASSIGN_OR_RETURN(rec.adjacency,
+                       br.GetRaw(size_t{rec.degree} * sizeof(VertexId)));
   return rec;
 }
 
-std::string EncodeMessage(int64_t payload, double aux = 0.0) {
-  std::string out;
-  out.push_back(kMessageTag);
-  ValueWriter w(&out);
-  w.PutI64(payload);
-  w.PutDouble(aux);
-  return out;
-}
+// A message record's 17 bytes, encoded on the stack.
+class MessageBytes {
+ public:
+  explicit MessageBytes(int64_t payload, double aux = 0.0) {
+    bytes_[0] = kMessageTag;
+    std::memcpy(bytes_ + 1, &payload, sizeof(payload));
+    std::memcpy(bytes_ + 1 + sizeof(payload), &aux, sizeof(aux));
+  }
+  std::string_view view() const { return {bytes_, sizeof(bytes_)}; }
+
+ private:
+  char bytes_[1 + sizeof(int64_t) + sizeof(double)];
+};
 
 struct Message {
   int64_t payload = 0;
   double aux = 0.0;
 };
 
-Result<Message> DecodeMessage(const std::string& value) {
+Result<Message> DecodeMessage(std::string_view value) {
   if (value.empty() || value[0] != kMessageTag) {
     return Status::InvalidArgument("not a message record");
   }
-  std::string body = value.substr(1);
-  ValueReader br(body);
+  ValueReader br(value.substr(1));
   Message m;
   GLY_ASSIGN_OR_RETURN(m.payload, br.GetI64());
   GLY_ASSIGN_OR_RETURN(m.aux, br.GetDouble());
   return m;
 }
 
-bool IsGraphValue(const std::string& v) {
+bool IsGraphValue(std::string_view v) {
   return !v.empty() && v[0] == kGraphTag;
+}
+
+// Calls `fn(key, value)` for every record of `paths`, in order; the value
+// views the reader's buffer. Stops at the first error.
+template <typename Fn>
+Status ForEachRecord(const std::vector<std::string>& paths, Fn&& fn) {
+  for (const std::string& path : paths) {
+    GLY_ASSIGN_OR_RETURN(RecordFileReader reader,
+                         RecordFileReader::Open(path));
+    uint64_t key = 0;
+    std::string_view value;
+    for (;;) {
+      GLY_ASSIGN_OR_RETURN(bool more, reader.Next(&key, &value));
+      if (!more) break;
+      GLY_RETURN_NOT_OK(fn(key, value));
+    }
+  }
+  return Status::OK();
 }
 
 // ------------------------------------------------------------- driver util
@@ -111,20 +144,25 @@ Result<std::vector<std::string>> WriteInitialState(
     writers.push_back(std::move(w));
     paths.push_back(path);
   }
+  std::vector<VertexId> adjacency;
+  std::string encoded;
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     GraphRecord rec = init(v);
     auto out_nbrs = graph.OutNeighbors(v);
-    rec.adjacency.assign(out_nbrs.begin(), out_nbrs.end());
+    adjacency.assign(out_nbrs.begin(), out_nbrs.end());
     if (union_adjacency && !graph.undirected()) {
       auto in_nbrs = graph.InNeighbors(v);
-      rec.adjacency.insert(rec.adjacency.end(), in_nbrs.begin(),
-                           in_nbrs.end());
-      std::sort(rec.adjacency.begin(), rec.adjacency.end());
-      rec.adjacency.erase(
-          std::unique(rec.adjacency.begin(), rec.adjacency.end()),
-          rec.adjacency.end());
+      adjacency.insert(adjacency.end(), in_nbrs.begin(), in_nbrs.end());
+      std::sort(adjacency.begin(), adjacency.end());
+      adjacency.erase(std::unique(adjacency.begin(), adjacency.end()),
+                      adjacency.end());
     }
-    GLY_RETURN_NOT_OK(writers[v % parts].Append(v, EncodeGraphRecord(rec)));
+    rec.degree = static_cast<uint32_t>(adjacency.size());
+    rec.adjacency =
+        std::string_view(reinterpret_cast<const char*>(adjacency.data()),
+                         adjacency.size() * sizeof(VertexId));
+    GLY_RETURN_NOT_OK(
+        writers[v % parts].Append(v, EncodeGraphRecord(rec, &encoded)));
   }
   for (auto& w : writers) {
     GLY_RETURN_NOT_OK(w.Close());
@@ -132,18 +170,27 @@ Result<std::vector<std::string>> WriteInitialState(
   return paths;
 }
 
+// Reads the graph records of the final state parts; calls
+// `fn(vertex, record)` for each one of a vertex below `num_vertices`.
+template <typename Fn>
+Status ForEachFinalVertex(const std::vector<std::string>& paths,
+                          VertexId num_vertices, Fn&& fn) {
+  return ForEachRecord(
+      paths, [&](uint64_t key, std::string_view value) -> Status {
+        if (!IsGraphValue(value)) return Status::OK();
+        GLY_ASSIGN_OR_RETURN(GraphRecord rec, DecodeGraphRecord(value));
+        if (key < num_vertices) fn(static_cast<VertexId>(key), rec);
+        return Status::OK();
+      });
+}
+
 // Reads final state part files into a per-vertex state vector.
 Result<std::vector<int64_t>> ReadFinalState(
     const std::vector<std::string>& paths, VertexId num_vertices) {
   std::vector<int64_t> values(num_vertices, 0);
-  for (const std::string& path : paths) {
-    GLY_ASSIGN_OR_RETURN(std::vector<Record> records, ReadAllRecords(path));
-    for (const Record& r : records) {
-      if (!IsGraphValue(r.value)) continue;
-      GLY_ASSIGN_OR_RETURN(GraphRecord rec, DecodeGraphRecord(r.value));
-      if (r.key < num_vertices) values[r.key] = rec.state;
-    }
-  }
+  GLY_RETURN_NOT_OK(ForEachFinalVertex(
+      paths, num_vertices,
+      [&](VertexId v, const GraphRecord& rec) { values[v] = rec.state; }));
   return values;
 }
 
@@ -156,6 +203,38 @@ void AccumulateStats(const JobStats& job, ChainStats* chain) {
   if (job.map_stage_recovered) ++chain->map_stages_recovered;
 }
 
+// Emits one message to every neighbor of `rec` and counts the edges.
+void EmitToNeighbors(const GraphRecord& rec, std::string_view message,
+                     Emitter* out, Counters* counters) {
+  for (uint32_t i = 0; i < rec.degree; ++i) {
+    out->Emit(rec.Neighbor(i), message);
+  }
+  counters->Increment("traversed", rec.degree);
+}
+
+// Shared reduce step of the message-passing kernels: finds the group's
+// graph record, hands every decoded message to `on_message`, and returns
+// false when the group has no graph record (a message to a vertex with
+// no record).
+template <typename OnMessage>
+bool JoinGroup(const std::vector<std::string_view>& values, GraphRecord* rec,
+               OnMessage&& on_message) {
+  bool have_graph = false;
+  for (std::string_view v : values) {
+    if (IsGraphValue(v)) {
+      auto g = DecodeGraphRecord(v);
+      if (g.ok()) {
+        *rec = *g;
+        have_graph = true;
+      }
+    } else {
+      auto m = DecodeMessage(v);
+      if (m.ok()) on_message(*m);
+    }
+  }
+  return have_graph;
+}
+
 // ------------------------------------------------------- BFS mapper/reducer
 
 // Map: pass the graph record through; vertices discovered in the previous
@@ -164,16 +243,15 @@ class BfsMapper : public Mapper {
  public:
   explicit BfsMapper(int64_t frontier_level) : frontier_(frontier_level) {}
 
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
+  void Map(uint64_t key, std::string_view value, Emitter* out,
+           Counters* counters) override {
+    out->Emit(key, value);
+    if (!IsGraphValue(value)) return;
+    auto rec = DecodeGraphRecord(value);
     if (!rec.ok()) return;
     if (rec->state == frontier_) {
-      for (VertexId w : rec->adjacency) {
-        out->Emit(w, EncodeMessage(rec->state + 1));
-        counters->Increment("traversed");
-      }
+      EmitToNeighbors(*rec, MessageBytes(rec->state + 1).view(), out,
+                      counters);
     }
   }
 
@@ -183,41 +261,35 @@ class BfsMapper : public Mapper {
 
 class BfsReducer : public Reducer {
  public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               Emitter* out, Counters* counters) override {
     GraphRecord rec;
-    bool have_graph = false;
     int64_t best = kUnreachable;
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        auto g = DecodeGraphRecord(v);
-        if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
-          have_graph = true;
-        }
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) best = std::min(best, m->payload);
-      }
+    if (!JoinGroup(values, &rec, [&](const Message& m) {
+          best = std::min(best, m.payload);
+        })) {
+      return;
     }
-    if (!have_graph) return;  // message to a vertex with no record
     if (best < rec.state) {
       rec.state = best;
       counters->Increment("updated");
     }
-    out->Emit(key, EncodeGraphRecord(rec));
+    out->Emit(key, EncodeGraphRecord(rec, &encoded_));
   }
+
+ private:
+  std::string encoded_;
 };
 
 // A min-combiner for BFS/CONN messages: keeps the graph record and the
 // minimum message payload.
 class MinMessageCombiner : public Reducer {
  public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               Emitter* out, Counters*) override {
     int64_t best = kUnreachable;
     bool have_message = false;
-    for (const std::string& v : values) {
+    for (std::string_view v : values) {
       if (IsGraphValue(v)) {
         out->Emit(key, v);
       } else {
@@ -228,7 +300,7 @@ class MinMessageCombiner : public Reducer {
         }
       }
     }
-    if (have_message) out->Emit(key, EncodeMessage(best));
+    if (have_message) out->Emit(key, MessageBytes(best).view());
   }
 };
 
@@ -236,40 +308,29 @@ class MinMessageCombiner : public Reducer {
 
 class ConnMapper : public Mapper {
  public:
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
+  void Map(uint64_t key, std::string_view value, Emitter* out,
+           Counters* counters) override {
+    out->Emit(key, value);
+    if (!IsGraphValue(value)) return;
+    auto rec = DecodeGraphRecord(value);
     if (!rec.ok()) return;
     if (rec->changed) {
-      for (VertexId w : rec->adjacency) {
-        out->Emit(w, EncodeMessage(rec->state));
-        counters->Increment("traversed");
-      }
+      EmitToNeighbors(*rec, MessageBytes(rec->state).view(), out, counters);
     }
   }
 };
 
 class ConnReducer : public Reducer {
  public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               Emitter* out, Counters* counters) override {
     GraphRecord rec;
-    bool have_graph = false;
     int64_t best = std::numeric_limits<int64_t>::max();
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        auto g = DecodeGraphRecord(v);
-        if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
-          have_graph = true;
-        }
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) best = std::min(best, m->payload);
-      }
+    if (!JoinGroup(values, &rec, [&](const Message& m) {
+          best = std::min(best, m.payload);
+        })) {
+      return;
     }
-    if (!have_graph) return;
     if (best < rec.state) {
       rec.state = best;
       rec.changed = 1;
@@ -277,23 +338,25 @@ class ConnReducer : public Reducer {
     } else {
       rec.changed = 0;
     }
-    out->Emit(key, EncodeGraphRecord(rec));
+    out->Emit(key, EncodeGraphRecord(rec, &encoded_));
   }
+
+ private:
+  std::string encoded_;
 };
 
 // -------------------------------------------------------- CD mapper/reducer
 
 class CdMapper : public Mapper {
  public:
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
+  void Map(uint64_t key, std::string_view value, Emitter* out,
+           Counters* counters) override {
+    out->Emit(key, value);
+    if (!IsGraphValue(value)) return;
+    auto rec = DecodeGraphRecord(value);
     if (!rec.ok()) return;
-    for (VertexId w : rec->adjacency) {
-      out->Emit(w, EncodeMessage(rec->state, rec->aux));
-      counters->Increment("traversed");
-    }
+    EmitToNeighbors(*rec, MessageBytes(rec->state, rec->aux).view(), out,
+                    counters);
   }
 };
 
@@ -301,34 +364,27 @@ class CdReducer : public Reducer {
  public:
   explicit CdReducer(double hop_attenuation) : hop_(hop_attenuation) {}
 
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               Emitter* out, Counters*) override {
     GraphRecord rec;
-    bool have_graph = false;
-    std::vector<LabelScore> incoming;
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        auto g = DecodeGraphRecord(v);
-        if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
-          have_graph = true;
-        }
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) incoming.push_back(LabelScore{m->payload, m->aux});
-      }
+    incoming_.clear();
+    if (!JoinGroup(values, &rec, [&](const Message& m) {
+          incoming_.push_back(LabelScore{m.payload, m.aux});
+        })) {
+      return;
     }
-    if (!have_graph) return;
-    if (!incoming.empty()) {
-      LabelScore adopted = CdAdoptLabel(incoming, hop_);
+    if (!incoming_.empty()) {
+      LabelScore adopted = CdAdoptLabel(incoming_, hop_);
       rec.state = adopted.label;
       rec.aux = adopted.score;
     }
-    out->Emit(key, EncodeGraphRecord(rec));
+    out->Emit(key, EncodeGraphRecord(rec, &encoded_));
   }
 
  private:
   double hop_;
+  std::vector<LabelScore> incoming_;
+  std::string encoded_;
 };
 
 // -------------------------------------------------------- PR mapper/reducer
@@ -338,17 +394,15 @@ class CdReducer : public Reducer {
 
 class PrMapper : public Mapper {
  public:
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
-    if (!rec.ok() || rec->adjacency.empty()) return;
-    double contribution =
-        rec->aux / static_cast<double>(rec->adjacency.size());
-    for (VertexId w : rec->adjacency) {
-      out->Emit(w, EncodeMessage(0, contribution));
-      counters->Increment("traversed");
-    }
+  void Map(uint64_t key, std::string_view value, Emitter* out,
+           Counters* counters) override {
+    out->Emit(key, value);
+    if (!IsGraphValue(value)) return;
+    auto rec = DecodeGraphRecord(value);
+    if (!rec.ok() || rec->degree == 0) return;
+    double contribution = rec->aux / static_cast<double>(rec->degree);
+    EmitToNeighbors(*rec, MessageBytes(0, contribution).view(), out,
+                    counters);
   }
 };
 
@@ -356,41 +410,31 @@ class PrReducer : public Reducer {
  public:
   PrReducer(double base, double damping) : base_(base), damping_(damping) {}
 
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               Emitter* out, Counters*) override {
     GraphRecord rec;
-    bool have_graph = false;
     double sum = 0.0;
-    for (const std::string& v : values) {
-      if (IsGraphValue(v)) {
-        auto g = DecodeGraphRecord(v);
-        if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
-          have_graph = true;
-        }
-      } else {
-        auto m = DecodeMessage(v);
-        if (m.ok()) sum += m->aux;
-      }
+    if (!JoinGroup(values, &rec, [&](const Message& m) { sum += m.aux; })) {
+      return;
     }
-    if (!have_graph) return;
     rec.aux = base_ + damping_ * sum;
-    out->Emit(key, EncodeGraphRecord(rec));
+    out->Emit(key, EncodeGraphRecord(rec, &encoded_));
   }
 
  private:
   double base_;
   double damping_;
+  std::string encoded_;
 };
 
 // Sum-combiner for PR contributions.
 class PrCombiner : public Reducer {
  public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               Emitter* out, Counters*) override {
     double sum = 0.0;
     bool have_message = false;
-    for (const std::string& v : values) {
+    for (std::string_view v : values) {
       if (IsGraphValue(v)) {
         out->Emit(key, v);
       } else {
@@ -401,7 +445,7 @@ class PrCombiner : public Reducer {
         }
       }
     }
-    if (have_message) out->Emit(key, EncodeMessage(0, sum));
+    if (have_message) out->Emit(key, MessageBytes(0, sum).view());
   }
 };
 
@@ -413,78 +457,77 @@ class PrCombiner : public Reducer {
 // separate encoding — for simplicity the list rides in the value after the
 // standard message header.
 
-std::string EncodeListMessage(const std::vector<VertexId>& list) {
-  std::string out;
-  out.push_back(kMessageTag);
-  ValueWriter w(&out);
-  w.PutI64(static_cast<int64_t>(list.size()));
-  w.PutDouble(0.0);
-  for (VertexId v : list) w.PutU32(v);
-  return out;
-}
-
-Result<std::vector<VertexId>> DecodeListMessage(const std::string& value) {
-  std::string body = value.substr(1);
-  ValueReader br(body);
+// Decodes a list message into a record whose adjacency views its ids.
+Result<GraphRecord> DecodeListMessage(std::string_view value) {
+  if (value.empty()) return Status::InvalidArgument("empty list message");
+  ValueReader br(value.substr(1));
   GLY_ASSIGN_OR_RETURN(int64_t n, br.GetI64());
   GLY_ASSIGN_OR_RETURN(double unused, br.GetDouble());
   (void)unused;
-  std::vector<VertexId> list;
-  list.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    GLY_ASSIGN_OR_RETURN(uint32_t v, br.GetU32());
-    list.push_back(v);
+  if (n < 0 || static_cast<uint64_t>(n) > br.remaining() / sizeof(VertexId)) {
+    return Status::InvalidArgument("list message truncated");
   }
+  GraphRecord list;
+  list.degree = static_cast<uint32_t>(n);
+  GLY_ASSIGN_OR_RETURN(list.adjacency,
+                       br.GetRaw(size_t{list.degree} * sizeof(VertexId)));
   return list;
 }
 
 class LccMapper : public Mapper {
  public:
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    out->Emit(input.key, input.value);
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
+  void Map(uint64_t key, std::string_view value, Emitter* out,
+           Counters* counters) override {
+    out->Emit(key, value);
+    if (!IsGraphValue(value)) return;
+    auto rec = DecodeGraphRecord(value);
     if (!rec.ok()) return;
-    if (rec->adjacency.size() >= 2) {
-      std::string msg = EncodeListMessage(rec->adjacency);
-      for (VertexId w : rec->adjacency) {
-        out->Emit(w, msg);
-        counters->Increment("traversed");
-      }
+    if (rec->degree >= 2) {
+      message_.assign(1, kMessageTag);
+      ValueWriter w(&message_);
+      w.PutI64(static_cast<int64_t>(rec->degree));
+      w.PutDouble(0.0);
+      w.PutRaw(rec->adjacency.data(), rec->adjacency.size());
+      EmitToNeighbors(*rec, message_, out, counters);
     }
   }
+
+ private:
+  std::string message_;
 };
 
 class LccReducer : public Reducer {
  public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               Emitter* out, Counters*) override {
     GraphRecord rec;
     bool have_graph = false;
-    std::vector<std::vector<VertexId>> lists;
-    for (const std::string& v : values) {
+    lists_.clear();
+    for (std::string_view v : values) {
       if (IsGraphValue(v)) {
         auto g = DecodeGraphRecord(v);
         if (g.ok()) {
-          rec = std::move(g).ValueOrDie();
+          rec = *g;
           have_graph = true;
         }
       } else {
         auto l = DecodeListMessage(v);
-        if (l.ok()) lists.push_back(std::move(l).ValueOrDie());
+        if (l.ok()) lists_.push_back(*l);
       }
     }
     if (!have_graph) return;
-    uint64_t deg = rec.adjacency.size();
+    uint64_t deg = rec.degree;
     if (deg >= 2) {
       uint64_t links = 0;
-      for (const auto& their : lists) {
-        size_t a = 0;
-        size_t b = 0;
-        while (a < their.size() && b < rec.adjacency.size()) {
-          if (their[a] < rec.adjacency[b]) {
+      for (const GraphRecord& their : lists_) {
+        uint32_t a = 0;
+        uint32_t b = 0;
+        while (a < their.degree && b < rec.degree) {
+          const VertexId x = their.Neighbor(a);
+          const VertexId y = rec.Neighbor(b);
+          if (x < y) {
             ++a;
-          } else if (their[a] > rec.adjacency[b]) {
+          } else if (x > y) {
             ++b;
           } else {
             ++links;
@@ -496,36 +539,40 @@ class LccReducer : public Reducer {
       rec.aux = static_cast<double>(links) /
                 (static_cast<double>(deg) * static_cast<double>(deg - 1));
     }
-    out->Emit(key, EncodeGraphRecord(rec));
+    out->Emit(key, EncodeGraphRecord(rec, &encoded_));
   }
+
+ private:
+  std::vector<GraphRecord> lists_;
+  std::string encoded_;
 };
 
 // Job 2: aggregate the mean LCC under a single key.
 class LccAggregateMapper : public Mapper {
  public:
-  void Map(const Record& input, Emitter* out, Counters*) override {
-    if (!IsGraphValue(input.value)) return;
-    auto rec = DecodeGraphRecord(input.value);
+  void Map(uint64_t, std::string_view value, Emitter* out,
+           Counters*) override {
+    if (!IsGraphValue(value)) return;
+    auto rec = DecodeGraphRecord(value);
     if (!rec.ok()) return;
-    out->Emit(0, EncodeMessage(1, rec->aux));
+    out->Emit(0, MessageBytes(1, rec->aux).view());
   }
 };
 
 class LccAggregateReducer : public Reducer {
  public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               Emitter* out, Counters*) override {
     double sum = 0.0;
     int64_t count = 0;
-    for (const std::string& v : values) {
+    for (std::string_view v : values) {
       auto m = DecodeMessage(v);
       if (m.ok()) {
         sum += m->aux;
         count += m->payload;
       }
     }
-    std::string encoded = EncodeMessage(count, sum);
-    out->Emit(key, encoded);
+    out->Emit(key, MessageBytes(count, sum).view());
   }
 };
 
@@ -539,16 +586,17 @@ class EvoMapper : public Mapper {
   EvoMapper(std::shared_ptr<const Graph> graph, EvoParams params)
       : graph_(std::move(graph)), params_(params) {}
 
-  void Map(const Record& input, Emitter* out, Counters* counters) override {
-    uint32_t fire = static_cast<uint32_t>(input.key);
+  void Map(uint64_t key, std::string_view, Emitter* out,
+           Counters* counters) override {
+    uint32_t fire = static_cast<uint32_t>(key);
     VertexId ambassador = ForestFireAmbassador(*graph_, params_, fire);
     std::vector<VertexId> burned =
         ForestFireBurn(*graph_, ambassador, params_, fire);
     VertexId new_vertex = graph_->num_vertices() + fire;
     for (VertexId b : burned) {
-      out->Emit(new_vertex, EncodeMessage(static_cast<int64_t>(b)));
-      counters->Increment("traversed");
+      out->Emit(new_vertex, MessageBytes(static_cast<int64_t>(b)).view());
     }
+    counters->Increment("traversed", burned.size());
   }
 
  private:
@@ -558,9 +606,9 @@ class EvoMapper : public Mapper {
 
 class EvoReducer : public Reducer {
  public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               Emitter* out, Counters*) override {
-    for (const std::string& v : values) out->Emit(key, v);
+    for (std::string_view v : values) out->Emit(key, v);
   }
 };
 
@@ -722,14 +770,10 @@ Result<AlgorithmOutput> RunPrChain(Driver& driver, const PrParams& params) {
 
   AlgorithmOutput out;
   out.vertex_scores.assign(graph.num_vertices(), 0.0);
-  for (const std::string& path : state) {
-    GLY_ASSIGN_OR_RETURN(std::vector<Record> records, ReadAllRecords(path));
-    for (const Record& r : records) {
-      if (!IsGraphValue(r.value)) continue;
-      GLY_ASSIGN_OR_RETURN(GraphRecord rec, DecodeGraphRecord(r.value));
-      if (r.key < graph.num_vertices()) out.vertex_scores[r.key] = rec.aux;
-    }
-  }
+  GLY_RETURN_NOT_OK(ForEachFinalVertex(
+      state, graph.num_vertices(), [&](VertexId v, const GraphRecord& rec) {
+        out.vertex_scores[v] = rec.aux;
+      }));
   return out;
 }
 
@@ -757,16 +801,15 @@ Result<AlgorithmOutput> RunStatsChain(Driver& driver) {
   out.stats.num_edges = graph.num_edges();
   double sum = 0.0;
   int64_t count = 0;
-  for (const std::string& path : agg) {
-    GLY_ASSIGN_OR_RETURN(std::vector<Record> records, ReadAllRecords(path));
-    for (const Record& r : records) {
-      auto m = DecodeMessage(r.value);
-      if (m.ok()) {
-        sum += m->aux;
-        count += m->payload;
-      }
-    }
-  }
+  GLY_RETURN_NOT_OK(
+      ForEachRecord(agg, [&](uint64_t, std::string_view value) -> Status {
+        auto m = DecodeMessage(value);
+        if (m.ok()) {
+          sum += m->aux;
+          count += m->payload;
+        }
+        return Status::OK();
+      }));
   out.stats.mean_local_clustering =
       count > 0 ? sum / static_cast<double>(count) : 0.0;
   return out;
@@ -788,7 +831,7 @@ Result<AlgorithmOutput> RunEvoChain(Driver& driver, const EvoParams& params) {
       inputs.push_back(path);
     }
     for (uint32_t f = 0; f < params.num_new_vertices; ++f) {
-      GLY_RETURN_NOT_OK(writers[f % parts].Append(f, std::string()));
+      GLY_RETURN_NOT_OK(writers[f % parts].Append(f, {}));
     }
     for (auto& w : writers) {
       GLY_RETURN_NOT_OK(w.Close());
@@ -817,16 +860,15 @@ Result<AlgorithmOutput> RunEvoChain(Driver& driver, const EvoParams& params) {
                     [] { return std::make_unique<EvoReducer>(); }));
 
   AlgorithmOutput out;
-  for (const std::string& path : outputs) {
-    GLY_ASSIGN_OR_RETURN(std::vector<Record> records, ReadAllRecords(path));
-    for (const Record& r : records) {
-      auto m = DecodeMessage(r.value);
-      if (m.ok()) {
-        out.new_edges.Add(static_cast<VertexId>(r.key),
-                          static_cast<VertexId>(m->payload));
-      }
-    }
-  }
+  GLY_RETURN_NOT_OK(ForEachRecord(
+      outputs, [&](uint64_t key, std::string_view value) -> Status {
+        auto m = DecodeMessage(value);
+        if (m.ok()) {
+          out.new_edges.Add(static_cast<VertexId>(key),
+                            static_cast<VertexId>(m->payload));
+        }
+        return Status::OK();
+      }));
   out.new_edges.EnsureVertices(graph.num_vertices() + params.num_new_vertices);
   return out;
 }

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <queue>
 #include <thread>
+#include <utility>
 
 #include "common/checkpoint.h"
 #include "common/crc32.h"
@@ -45,7 +47,88 @@ void Counters::Reset() {
 
 namespace {
 
+// Index entry of one buffered record: its key and where its value sits in
+// the buffer's byte arena.
+struct IndexEntry {
+  uint64_t key;
+  uint32_t offset;
+  uint32_t len;
+};
+
+// Below this many entries std::stable_sort beats the radix passes' fixed
+// histogram cost.
+constexpr size_t kRadixMinEntries = 64;
+
+// Stable sort by key: an LSD radix sort over the key bytes that are not the
+// same in every entry (vertex ids below 2^24 take three passes).
+void SortByKey(std::vector<IndexEntry>* entries) {
+  const size_t n = entries->size();
+  if (n < kRadixMinEntries) {
+    std::stable_sort(entries->begin(), entries->end(),
+                     [](const IndexEntry& a, const IndexEntry& b) {
+                       return a.key < b.key;
+                     });
+    return;
+  }
+  uint64_t differing = 0;
+  const uint64_t first = (*entries)[0].key;
+  for (const IndexEntry& e : *entries) differing |= e.key ^ first;
+  std::vector<IndexEntry> scratch(n);
+  IndexEntry* src = entries->data();
+  IndexEntry* dst = scratch.data();
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((differing >> shift) & 0xFF) == 0) continue;
+    size_t offsets[256] = {};
+    for (size_t i = 0; i < n; ++i) ++offsets[(src[i].key >> shift) & 0xFF];
+    size_t sum = 0;
+    for (size_t& o : offsets) sum += std::exchange(o, sum);
+    for (size_t i = 0; i < n; ++i) {
+      dst[offsets[(src[i].key >> shift) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != entries->data()) entries->swap(scratch);
+}
+
+// Emitter that appends straight to a record file (combiner and reducer
+// output). For a combiner it also enforces the key contract of job.h.
+class FileEmitter : public Emitter {
+ public:
+  explicit FileEmitter(RecordFileWriter* writer) : writer_(writer) {}
+
+  // Restricts the following emits to `key` (the combiner's group key).
+  void RequireKey(uint64_t key) {
+    required_key_ = key;
+    key_required_ = true;
+  }
+
+  void Emit(uint64_t key, std::string_view value) override {
+    if (!status_.ok()) return;
+    if (key_required_ && key != required_key_) {
+      status_ = Status::InvalidArgument(StringPrintf(
+          "combiner emitted key %llu in the group of key %llu",
+          static_cast<unsigned long long>(key),
+          static_cast<unsigned long long>(required_key_)));
+      return;
+    }
+    status_ = writer_->Append(key, value);
+    if (status_.ok()) ++records_;
+  }
+
+  const Status& status() const { return status_; }
+  uint64_t records() const { return records_; }
+
+ private:
+  RecordFileWriter* writer_;
+  bool key_required_ = false;
+  uint64_t required_key_ = 0;
+  Status status_;
+  uint64_t records_ = 0;
+};
+
 // Collects map output for one (mapper, reducer) pair; sorts and spills runs.
+// Values live in one byte arena; each counts 8+4+len bytes against the
+// limit, the size it takes in the run file.
 class SpillBuffer {
  public:
   SpillBuffer(std::string path_prefix, uint64_t limit, Reducer* combiner,
@@ -55,26 +138,36 @@ class SpillBuffer {
         combiner_(combiner),
         counters_(counters) {}
 
-  Status Add(uint64_t key, const std::string& value, JobStats* stats) {
-    bytes_ += sizeof(uint64_t) + sizeof(uint32_t) + value.size();
-    records_.push_back(Record{key, value});
+  Status Add(uint64_t key, std::string_view value, JobStats* stats) {
+    // Offsets are u32: a sort buffer over 4 GiB spills when its arena
+    // would outgrow them.
+    if (value.size() > std::numeric_limits<uint32_t>::max() - arena_.size()) {
+      GLY_RETURN_NOT_OK(Spill(stats));
+      if (value.size() > std::numeric_limits<uint32_t>::max()) {
+        return Status::InvalidArgument("map output value over 4 GiB");
+      }
+    }
+    index_.push_back(IndexEntry{key, static_cast<uint32_t>(arena_.size()),
+                                static_cast<uint32_t>(value.size())});
+    arena_.append(value);
+    bytes_ += kRecordHeaderBytes + value.size();
     if (bytes_ >= limit_) return Spill(stats);
     return Status::OK();
   }
 
   Status Spill(JobStats* stats) {
-    if (records_.empty()) return Status::OK();
+    if (index_.empty()) return Status::OK();
     GLY_FAULT_POINT("mapreduce.spill.write");
-    std::stable_sort(records_.begin(), records_.end(),
-                     [](const Record& a, const Record& b) {
-                       return a.key < b.key;
-                     });
-    if (combiner_ != nullptr) RunCombiner(stats);
+    SortByKey(&index_);
     std::string path = path_prefix_ + "." + std::to_string(spill_count_++);
     GLY_ASSIGN_OR_RETURN(RecordFileWriter writer,
                          RecordFileWriter::Open(path));
-    for (const Record& r : records_) {
-      GLY_RETURN_NOT_OK(writer.Append(r));
+    if (combiner_ != nullptr) {
+      GLY_RETURN_NOT_OK(WriteCombined(&writer, stats));
+    } else {
+      for (const IndexEntry& e : index_) {
+        GLY_RETURN_NOT_OK(writer.Append(e.key, ValueOf(e)));
+      }
     }
     GLY_RETURN_NOT_OK(writer.Close());
     if (stats != nullptr) {
@@ -82,7 +175,8 @@ class SpillBuffer {
       ++stats->spill_files;
     }
     run_paths_.push_back(path);
-    records_.clear();
+    index_.clear();
+    arena_.clear();
     bytes_ = 0;
     return Status::OK();
   }
@@ -90,9 +184,29 @@ class SpillBuffer {
   const std::vector<std::string>& run_paths() const { return run_paths_; }
 
  private:
-  // Folds sorted `records_` through the combiner, replacing each key group
-  // with the combiner's output (map-side combine, as Hadoop does at spill).
-  void RunCombiner(JobStats* stats);
+  std::string_view ValueOf(const IndexEntry& e) const {
+    return std::string_view(arena_).substr(e.offset, e.len);
+  }
+
+  // Folds each sorted key group through the combiner and streams its
+  // output into the run (map-side combine, as Hadoop does at spill). The
+  // key contract keeps the run sorted.
+  Status WriteCombined(RecordFileWriter* writer, JobStats* stats) {
+    FileEmitter out(writer);
+    std::vector<std::string_view> group;
+    for (size_t i = 0; i < index_.size();) {
+      const uint64_t key = index_[i].key;
+      group.clear();
+      for (; i < index_.size() && index_[i].key == key; ++i) {
+        group.push_back(ValueOf(index_[i]));
+      }
+      out.RequireKey(key);
+      combiner_->Reduce(key, group, &out, counters_);
+      GLY_RETURN_NOT_OK(out.status());
+    }
+    if (stats != nullptr) stats->combined_records += out.records();
+    return Status::OK();
+  }
 
   std::string path_prefix_;
   uint64_t limit_;
@@ -100,78 +214,42 @@ class SpillBuffer {
   Counters* counters_;
   uint64_t bytes_ = 0;
   uint32_t spill_count_ = 0;
-  std::vector<Record> records_;
+  std::string arena_;
+  std::vector<IndexEntry> index_;
   std::vector<std::string> run_paths_;
 };
 
 // Emitter routing to per-reducer spill buffers by key hash.
 class PartitionedEmitter : public Emitter {
  public:
-  PartitionedEmitter(std::vector<SpillBuffer>* buffers, JobStats* stats,
-                     std::atomic<uint64_t>* emitted)
-      : buffers_(buffers), stats_(stats), emitted_(emitted) {}
+  PartitionedEmitter(std::vector<SpillBuffer>* buffers, JobStats* stats)
+      : buffers_(buffers), stats_(stats) {}
 
-  void Emit(uint64_t key, const std::string& value) override {
+  void Emit(uint64_t key, std::string_view value) override {
+    ++emitted_;
+    // Spill failures surface when runs are collected; keep the first.
+    if (!error_.ok()) return;
     uint64_t h = (key + 1) * 0x9E3779B97F4A7C15ULL;
     size_t r = static_cast<size_t>((h >> 33) % buffers_->size());
-    Status s = (*buffers_)[r].Add(key, value, stats_);
-    if (!s.ok()) {
-      // Spill failures surface when runs are collected; remember the first.
-      if (error_.ok()) error_ = s;
-    }
-    emitted_->fetch_add(1, std::memory_order_relaxed);
+    error_ = (*buffers_)[r].Add(key, value, stats_);
   }
 
   const Status& error() const { return error_; }
+  uint64_t emitted() const { return emitted_; }
 
  private:
   std::vector<SpillBuffer>* buffers_;
   JobStats* stats_;
-  std::atomic<uint64_t>* emitted_;
   Status error_;
+  uint64_t emitted_ = 0;
 };
 
-// Emitter that buffers records in memory (combiner / reducer output).
-class VectorEmitter : public Emitter {
- public:
-  void Emit(uint64_t key, const std::string& value) override {
-    records_.push_back(Record{key, value});
-  }
-  std::vector<Record>& records() { return records_; }
-
- private:
-  std::vector<Record> records_;
-};
-
-void SpillBuffer::RunCombiner(JobStats* stats) {
-  VectorEmitter out;
-  std::vector<Record> combined;
-  size_t i = 0;
-  while (i < records_.size()) {
-    uint64_t key = records_[i].key;
-    std::vector<std::string> group;
-    while (i < records_.size() && records_[i].key == key) {
-      group.push_back(std::move(records_[i].value));
-      ++i;
-    }
-    combiner_->Reduce(key, group, &out, counters_);
-  }
-  // Combiner output for one key may be multiple records; re-sort to keep
-  // the run file ordered.
-  combined = std::move(out.records());
-  std::stable_sort(combined.begin(), combined.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.key < b.key;
-                   });
-  if (stats != nullptr) stats->combined_records += combined.size();
-  records_ = std::move(combined);
-}
-
-// One source in the k-way merge of sorted run files.
+// One source in the k-way merge of sorted run files. `value` views the
+// reader's buffer, which moves with the reader.
 struct MergeSource {
-  std::unique_ptr<RecordFileReader> reader;
-  Record current;
-  bool done = false;
+  RecordFileReader reader;
+  uint64_t key = 0;
+  std::string_view value;
 };
 
 // ------------------------------------------- map-stage checkpoint manifest
@@ -357,8 +435,6 @@ Result<std::vector<std::string>> Job::Run(
 
     // Per-mapper stats merged afterwards to avoid locking.
     std::vector<JobStats> mapper_stats(mappers);
-    std::atomic<uint64_t> input_records{0};
-    std::atomic<uint64_t> map_output{0};
 
     std::vector<std::future<Status>> map_tasks;
     for (uint32_t m = 0; m < mappers; ++m) {
@@ -367,6 +443,7 @@ Result<std::vector<std::string>> Job::Run(
         // mode); the whole job fails, as it would with task retries off.
         GLY_FAULT_POINT("mapreduce.map.task");
         GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
+        JobStats& task_stats = mapper_stats[m];
         auto mapper = mapper_factory_();
         std::unique_ptr<Reducer> combiner =
             combiner_factory_ ? combiner_factory_() : nullptr;
@@ -377,27 +454,29 @@ Result<std::vector<std::string>> Job::Run(
               spill_dir + StringPrintf("/map-%05u-r-%05u", m, r),
               config_.sort_buffer_bytes, combiner.get(), counters);
         }
-        PartitionedEmitter emitter(&buffers, &mapper_stats[m], &map_output);
+        PartitionedEmitter emitter(&buffers, &task_stats);
         uint64_t records_since_poll = 0;
         for (const std::string& path : splits[m]) {
           GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
           GLY_ASSIGN_OR_RETURN(RecordFileReader reader,
                                RecordFileReader::Open(path));
-          Record record;
+          uint64_t key = 0;
+          std::string_view value;
           for (;;) {
-            GLY_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
+            GLY_ASSIGN_OR_RETURN(bool more, reader.Next(&key, &value));
             if (!more) break;
             if (++records_since_poll >= 4096) {
               records_since_poll = 0;
               GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
             }
-            input_records.fetch_add(1, std::memory_order_relaxed);
-            mapper->Map(record, &emitter, counters);
+            ++task_stats.input_records;
+            mapper->Map(key, value, &emitter, counters);
           }
         }
+        task_stats.map_output_records = emitter.emitted();
         GLY_RETURN_NOT_OK(emitter.error());
         for (uint32_t r = 0; r < reducers; ++r) {
-          GLY_RETURN_NOT_OK(buffers[r].Spill(&mapper_stats[m]));
+          GLY_RETURN_NOT_OK(buffers[r].Spill(&task_stats));
           mapper_runs[static_cast<size_t>(m) * reducers + r] =
               buffers[r].run_paths();
         }
@@ -415,9 +494,9 @@ Result<std::vector<std::string>> Job::Run(
     }
     GLY_RETURN_NOT_OK(map_status);
     stats.map_seconds = map_watch.ElapsedSeconds();
-    stats.input_records = input_records.load();
-    stats.map_output_records = map_output.load();
     for (const JobStats& ms : mapper_stats) {
+      stats.input_records += ms.input_records;
+      stats.map_output_records += ms.map_output_records;
       stats.spill_bytes += ms.spill_bytes;
       stats.spill_files += ms.spill_files;
       stats.combined_records += ms.combined_records;
@@ -456,18 +535,17 @@ Result<std::vector<std::string>> Job::Run(
       for (uint32_t m = 0; m < mappers; ++m) {
         for (const std::string& path :
              mapper_runs[static_cast<size_t>(m) * reducers + r]) {
-          MergeSource src;
           GLY_ASSIGN_OR_RETURN(RecordFileReader reader,
                                RecordFileReader::Open(path));
-          src.reader = std::make_unique<RecordFileReader>(std::move(reader));
-          GLY_ASSIGN_OR_RETURN(bool more, src.reader->Next(&src.current));
-          src.done = !more;
-          if (!src.done) sources.push_back(std::move(src));
+          MergeSource src{std::move(reader), 0, {}};
+          GLY_ASSIGN_OR_RETURN(bool more,
+                               src.reader.Next(&src.key, &src.value));
+          if (more) sources.push_back(std::move(src));
         }
       }
       // K-way merge by key.
       auto cmp = [&sources](size_t a, size_t b) {
-        return sources[a].current.key > sources[b].current.key;
+        return sources[a].key > sources[b].key;
       };
       std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)> heap(cmp);
       for (size_t i = 0; i < sources.size(); ++i) heap.push(i);
@@ -477,38 +555,46 @@ Result<std::vector<std::string>> Job::Run(
           output_dir + StringPrintf("/part-%05u", r);
       GLY_ASSIGN_OR_RETURN(RecordFileWriter writer,
                            RecordFileWriter::Open(out_path));
-      VectorEmitter out_emitter;
+      FileEmitter out(&writer);
 
+      // The current group's values, copied out of the readers' buffers
+      // into one reused arena; `starts` holds each value's offset.
       uint64_t current_key = 0;
-      std::vector<std::string> group;
+      std::string group_bytes;
+      std::vector<size_t> starts;
+      std::vector<std::string_view> group;
       auto flush_group = [&]() -> Status {
-        if (group.empty()) return Status::OK();
+        if (starts.empty()) return Status::OK();
         GLY_RETURN_NOT_OK(CheckCancel(config_.cancel));
-        reducer->Reduce(current_key, group, &out_emitter, counters);
-        for (const Record& rec : out_emitter.records()) {
-          GLY_RETURN_NOT_OK(writer.Append(rec));
-          ++reducer_stats[r].reduce_output_records;
-        }
-        out_emitter.records().clear();
+        starts.push_back(group_bytes.size());
         group.clear();
+        for (size_t j = 0; j + 1 < starts.size(); ++j) {
+          group.emplace_back(group_bytes.data() + starts[j],
+                             starts[j + 1] - starts[j]);
+        }
+        reducer->Reduce(current_key, group, &out, counters);
+        GLY_RETURN_NOT_OK(out.status());
+        group_bytes.clear();
+        starts.clear();
         return Status::OK();
       };
 
       while (!heap.empty()) {
         size_t i = heap.top();
         heap.pop();
-        Record& rec = sources[i].current;
-        reducer_stats[r].shuffle_bytes +=
-            sizeof(uint64_t) + sizeof(uint32_t) + rec.value.size();
-        if (!group.empty() && rec.key != current_key) {
+        MergeSource& src = sources[i];
+        reducer_stats[r].shuffle_bytes += kRecordHeaderBytes + src.value.size();
+        if (!starts.empty() && src.key != current_key) {
           GLY_RETURN_NOT_OK(flush_group());
         }
-        current_key = rec.key;
-        group.push_back(std::move(rec.value));
-        GLY_ASSIGN_OR_RETURN(bool more, sources[i].reader->Next(&rec));
+        current_key = src.key;
+        starts.push_back(group_bytes.size());
+        group_bytes.append(src.value);
+        GLY_ASSIGN_OR_RETURN(bool more, src.reader.Next(&src.key, &src.value));
         if (more) heap.push(i);
       }
       GLY_RETURN_NOT_OK(flush_group());
+      reducer_stats[r].reduce_output_records = out.records();
       GLY_RETURN_NOT_OK(writer.Close());
       reducer_stats[r].output_bytes = writer.bytes_written();
       output_paths[r] = out_path;

@@ -7,7 +7,7 @@
 //   map     — mappers (parallel) consume input splits and emit (key, value)
 //             pairs into per-reducer sort buffers; when a buffer exceeds
 //             `sort_buffer_bytes` it is sorted and spilled to a run file
-//             (optionally combined first);
+//             (optionally combined on the way out);
 //   shuffle — each reducer k-way-merges the sorted run files addressed to
 //             it (real file reads);
 //   reduce  — grouped (key, [values]) pairs are reduced and the output is
@@ -20,16 +20,25 @@
 // tuned constant.
 //
 // Counters mirror Hadoop counters and drive convergence checks.
+//
+// In memory, records travel as bytes, not as one heap string each (the
+// MR-MPI idiom): a sort buffer is one byte arena plus a {key, offset,
+// length} index, sorted by a stable radix sort on the key; map, combine
+// and reduce functions receive std::string_view values that point into
+// that arena, into a record file reader's buffer, or into the reducer's
+// group arena, and are valid only for the duration of the call. Emitted
+// values are copied before Emit returns. What reaches the disk — spill
+// runs, state and output parts — is the record file format of record.h.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -52,26 +61,36 @@ class Counters {
   std::map<std::string, uint64_t> values_;
 };
 
-/// Receives emitted records in map/combine/reduce functions.
+/// Receives emitted records in map/combine/reduce functions. The value is
+/// copied (into a sort buffer or a record file) before Emit returns.
 class Emitter {
  public:
   virtual ~Emitter() = default;
-  virtual void Emit(uint64_t key, const std::string& value) = 0;
+  virtual void Emit(uint64_t key, std::string_view value) = 0;
 };
 
-/// User map function: input record -> emitted records.
+/// User map function: input record -> emitted records. `value` is valid
+/// only during the call.
 class Mapper {
  public:
   virtual ~Mapper() = default;
-  virtual void Map(const Record& input, Emitter* out, Counters* counters) = 0;
+  virtual void Map(uint64_t key, std::string_view value, Emitter* out,
+                   Counters* counters) = 0;
 };
 
-/// User reduce function: (key, grouped values) -> emitted records.
-/// Also used as the optional combiner.
+/// User reduce function: (key, grouped values) -> emitted records. The
+/// views are valid only during the call.
+///
+/// Also used as the optional combiner, which runs on each sorted key group
+/// of a spill and streams its output straight into the run file. A
+/// combiner may therefore emit only under its group's key (any number of
+/// records, in any order of values): that keeps the run sorted without a
+/// second sort. A combiner that emits any other key fails the job with
+/// InvalidArgument.
 class Reducer {
  public:
   virtual ~Reducer() = default;
-  virtual void Reduce(uint64_t key, const std::vector<std::string>& values,
+  virtual void Reduce(uint64_t key, const std::vector<std::string_view>& values,
                       Emitter* out, Counters* counters) = 0;
 };
 

@@ -152,15 +152,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 class IdentityMapper : public mapreduce::Mapper {
  public:
-  void Map(const mapreduce::Record& input, mapreduce::Emitter* out,
+  void Map(uint64_t key, std::string_view value, mapreduce::Emitter* out,
            mapreduce::Counters*) override {
-    out->Emit(input.key % 37, input.value);
+    out->Emit(key % 37, value);
   }
 };
 
 class ConcatLengthReducer : public mapreduce::Reducer {
  public:
-  void Reduce(uint64_t key, const std::vector<std::string>& values,
+  void Reduce(uint64_t key, const std::vector<std::string_view>& values,
               mapreduce::Emitter* out, mapreduce::Counters*) override {
     size_t total = 0;
     for (const auto& v : values) total += v.size();
