@@ -55,21 +55,11 @@ struct IndexEntry {
   uint32_t len;
 };
 
-// Below this many entries std::stable_sort beats the radix passes' fixed
-// histogram cost.
-constexpr size_t kRadixMinEntries = 64;
-
 // Stable sort by key: an LSD radix sort over the key bytes that are not the
 // same in every entry (vertex ids below 2^24 take three passes).
 void SortByKey(std::vector<IndexEntry>* entries) {
   const size_t n = entries->size();
-  if (n < kRadixMinEntries) {
-    std::stable_sort(entries->begin(), entries->end(),
-                     [](const IndexEntry& a, const IndexEntry& b) {
-                       return a.key < b.key;
-                     });
-    return;
-  }
+  if (n < 2) return;
   uint64_t differing = 0;
   const uint64_t first = (*entries)[0].key;
   for (const IndexEntry& e : *entries) differing |= e.key ^ first;
