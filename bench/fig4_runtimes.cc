@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "dataflow/algorithms.h"
@@ -206,6 +207,7 @@ int main(int argc, char** argv) {
   // datasets (JVM object churn) and shuffles through local disk; MapReduce
   // does real file I/O every iteration; Neo4j is a single embedded process.
   Config config;
+  constexpr double kMapReduceJobStartupS = 0.15;
   config.SetInt("giraph.memory_budget_mb", 512);
   config.SetInt("giraph.workers", 8);
   config.SetDouble("giraph.barrier_latency_s", 0.005);
@@ -215,7 +217,7 @@ int main(int argc, char** argv) {
   config.SetDouble("graphx.shuffle_mib_per_s", 256);
   config.SetDouble("graphx.materialize_mib_per_s", 512);
   config.SetInt("mapreduce.workers", 8);
-  config.SetDouble("mapreduce.job_startup_s", 0.15);
+  config.SetDouble("mapreduce.job_startup_s", kMapReduceJobStartupS);
   config.SetInt("neo4j.memory_budget_mb", 5);
   spec.platform_config = config;
 
@@ -246,14 +248,19 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", RenderRuntimeTable(*results).c_str());
 
   // Shape checks against the paper.
-  auto runtime_of = [&](const char* platform, const char* graph,
-                        AlgorithmKind algo) -> double {
+  auto cell_of = [&](const char* platform, const char* graph,
+                     AlgorithmKind algo) -> const BenchmarkResult* {
     for (const BenchmarkResult& r : *results) {
       if (r.platform == platform && r.graph == graph && r.algorithm == algo) {
-        return r.status.ok() ? r.runtime_seconds : -1.0;
+        return r.status.ok() ? &r : nullptr;
       }
     }
-    return -1.0;
+    return nullptr;
+  };
+  auto runtime_of = [&](const char* platform, const char* graph,
+                        AlgorithmKind algo) -> double {
+    const BenchmarkResult* r = cell_of(platform, graph, algo);
+    return r != nullptr ? r->runtime_seconds : -1.0;
   };
   double mr_bfs = runtime_of("mapreduce", "g500-12", AlgorithmKind::kBfs);
   double gi_bfs = runtime_of("giraph", "g500-12", AlgorithmKind::kBfs);
@@ -264,6 +271,20 @@ int main(int argc, char** argv) {
     std::printf("  BFS g500: mapreduce/giraph = %.0fx  (paper: 6179/86 = "
                 "72x; want >> 1)\n",
                 mr_bfs / gi_bfs);
+    // Each job sleeps the configured startup before it runs; at this scale
+    // those sleeps are most of the cell, so the ratio without them is the
+    // one that measures per-iteration materialization.
+    const BenchmarkResult* mr =
+        cell_of("mapreduce", "g500-12", AlgorithmKind::kBfs);
+    const auto jobs = mr->platform_metrics.find("jobs");
+    if (jobs != mr->platform_metrics.end()) {
+      const double startup =
+          std::stod(jobs->second) * kMapReduceJobStartupS;
+      std::printf("  BFS g500: mapreduce/giraph = %.1fx without job startup "
+                  "(%s jobs x %.2fs = %.3fs of %.3fs)\n",
+                  (mr_bfs - startup) / gi_bfs, jobs->second.c_str(),
+                  kMapReduceJobStartupS, startup, mr_bfs);
+    }
   }
   if (gx_conn > 0 && gi_conn > 0) {
     std::printf("  CONN patents: graphx/giraph = %.1fx  (paper: ~3x; want "

@@ -62,9 +62,12 @@ Result<AlgorithmOutput> RunConn(GraphStore* store, const CancelToken* cancel,
   AlgorithmOutput out;
   const VertexId n = static_cast<VertexId>(store->node_count());
   out.vertex_values.assign(n, -1);
+  // One visited array for every component: the BFS from each unlabelled
+  // start touches only its own component.
+  std::vector<uint8_t> seen(n, 0);
   uint64_t expanded = 0;
   for (VertexId start = 0; start < n; ++start) {
-    if (out.vertex_values[start] != -1) continue;
+    if (seen[start]) continue;
     GLY_RETURN_NOT_OK(CheckCancel(cancel));
     if (cancel != nullptr) cancel->Heartbeat();
     TraversalStats tstats;
@@ -74,7 +77,7 @@ Result<AlgorithmOutput> RunConn(GraphStore* store, const CancelToken* cancel,
           out.vertex_values[node] = start;
           return true;
         },
-        &tstats));
+        &seen, &tstats));
     expanded += tstats.relationships_expanded;
   }
   out.traversed_edges = expanded;
@@ -260,6 +263,9 @@ Result<AlgorithmOutput> RunAlgorithmOnStore(GraphStore* store,
           .WithPrefix("graphdb"));
 
   DbRunStats stats;
+  // The store's counters are cumulative since it opened (import included);
+  // a run reports its own share.
+  const PageCacheStats cache_before = store->cache_stats();
   const CancelToken* cancel = params.cancel;
   GLY_RETURN_NOT_OK(CheckCancel(cancel));
   Result<AlgorithmOutput> result = Status::Internal("unreached");
@@ -273,13 +279,10 @@ Result<AlgorithmOutput> RunAlgorithmOnStore(GraphStore* store,
     case AlgorithmKind::kCd:
       result = RunCd(store, graph_is_undirected, params.cd, cancel, &stats);
       break;
-    case AlgorithmKind::kStats: {
-      uint64_t logical = graph_is_undirected ? store->relationship_count()
-                                             : store->relationship_count();
-      result = RunStatsAlgorithm(store, graph_is_undirected, logical, cancel,
-                                 &stats);
+    case AlgorithmKind::kStats:
+      result = RunStatsAlgorithm(store, graph_is_undirected,
+                                 store->relationship_count(), cancel, &stats);
       break;
-    }
     case AlgorithmKind::kEvo:
       result = RunEvo(store, graph_is_undirected, params.evo, cancel, &stats);
       break;
@@ -288,7 +291,7 @@ Result<AlgorithmOutput> RunAlgorithmOnStore(GraphStore* store,
       break;
   }
   if (!result.ok()) return result.status();
-  stats.cache = store->cache_stats();
+  stats.cache = store->cache_stats() - cache_before;
   metrics::SetGauge("graphdb.pagecache.shard_contention",
                     static_cast<double>(stats.cache.shard_contention));
   if (stats_out != nullptr) *stats_out = stats;

@@ -28,6 +28,7 @@ struct DbPlatformConfig {
 /// Per-run statistics.
 struct DbRunStats {
   uint64_t relationships_expanded = 0;
+  /// Cache counters accrued by this run alone.
   PageCacheStats cache;
 };
 

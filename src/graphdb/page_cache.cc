@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -38,27 +39,52 @@ PageCache::PageCache(uint64_t capacity_bytes, uint32_t shards)
     // Descending so the first faults fill slot 0 upward.
     for (size_t j = cap; j-- > 0;) shard.free_slots.push_back(j);
   }
+  if (std::has_single_bit(shards_.size())) {
+    shard_shift_ = std::countr_zero(shards_.size());
+    shard_mask_ = shards_.size() - 1;
+  }
 }
 
 PageCache::~PageCache() {
   // Best effort: write back and close.
   Status s = Flush();
   (void)s;
-  std::lock_guard<std::mutex> lock(files_mu_);
-  for (int fd : fds_) {
-    if (fd >= 0) ::close(fd);
-  }
+  const uint32_t files = num_files_.load(std::memory_order_acquire);
+  for (uint32_t i = 0; i < files; ++i) ::close(fds_[i]);
 }
 
 Result<uint32_t> PageCache::OpenFile(const std::string& path) {
+  std::lock_guard<std::mutex> lock(open_mu_);
+  const uint32_t id = num_files_.load(std::memory_order_relaxed);
+  if (id >= kMaxFiles) {
+    return Status::ResourceExhausted("page cache holds at most " +
+                                     std::to_string(kMaxFiles) +
+                                     " files; cannot open " + path);
+  }
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status::IOError("open(" + path + "): " + std::strerror(errno));
   }
-  std::lock_guard<std::mutex> lock(files_mu_);
-  fds_.push_back(fd);
-  paths_.push_back(path);
-  return static_cast<uint32_t>(fds_.size() - 1);
+  fds_[id] = fd;
+  paths_[id] = path;
+  num_files_.store(id + 1, std::memory_order_release);
+  return id;
+}
+
+Status PageCache::CheckAccess(uint32_t file_id, uint64_t offset,
+                              size_t len) const {
+  if (file_id >= num_files_.load(std::memory_order_acquire)) {
+    return Status::InvalidArgument("page cache: unknown file id " +
+                                   std::to_string(file_id));
+  }
+  constexpr uint64_t kLimit = kMaxPages * kPageSize;
+  if (len > 0 && (offset >= kLimit || len > kLimit - offset)) {
+    return Status::InvalidArgument(
+        "page cache: " + std::to_string(len) + " bytes at offset " +
+        std::to_string(offset) + " of " + paths_[file_id] + " pass the " +
+        std::to_string(kMaxPages) + "-page bound");
+  }
+  return Status::OK();
 }
 
 std::unique_lock<std::mutex> PageCache::LockShard(const Shard& shard) {
@@ -71,12 +97,17 @@ std::unique_lock<std::mutex> PageCache::LockShard(const Shard& shard) {
 }
 
 Result<PageCache::Frame*> PageCache::GetFrame(Shard& shard, uint32_t file_id,
-                                              uint64_t page_no) {
-  const PageKey key{file_id, page_no};
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+                                              uint64_t page_no,
+                                              uint64_t local) {
+  std::vector<TableChunk>& table = shard.tables[file_id];
+  const uint64_t chunk_no = local >> kChunkBits;
+  if (chunk_no >= table.size()) table.resize(chunk_no + 1);
+  TableChunk& chunk = table[chunk_no];
+  if (chunk == nullptr) chunk = std::make_unique<uint32_t[]>(kChunkPages);
+  uint32_t& entry = chunk[local & (kChunkPages - 1)];
+  if (entry != 0) {
     ++shard.stats.hits;
-    Frame& frame = shard.frames[it->second];
+    Frame& frame = shard.frames[entry - 1];
     frame.referenced = true;  // second chance for the clock sweep
     return &frame;
   }
@@ -91,25 +122,24 @@ Result<PageCache::Frame*> PageCache::GetFrame(Shard& shard, uint32_t file_id,
     GLY_RETURN_NOT_OK(EvictClock(shard, &slot));
   }
   Frame& frame = shard.frames[slot];
-  frame.data.assign(kPageSize, 0);  // reuses the evicted frame's buffer
-  int fd;
-  std::string path;
-  {
-    std::lock_guard<std::mutex> files_lock(files_mu_);
-    fd = fds_[file_id];
-    path = paths_[file_id];
+  if (frame.data == nullptr) {
+    frame.data = std::make_unique_for_overwrite<char[]>(kPageSize);
   }
-  ssize_t n = ::pread(fd, frame.data.data(), kPageSize,
+  ssize_t n = ::pread(fds_[file_id], frame.data.get(), kPageSize,
                       static_cast<off_t>(page_no * kPageSize));
   if (n < 0) {
     shard.free_slots.push_back(slot);
-    return Status::IOError("pread(" + path + "): " + std::strerror(errno));
+    return Status::IOError("pread(" + paths_[file_id] +
+                           "): " + std::strerror(errno));
   }
-  frame.key = key;
+  // Past EOF the page is fresh: zero what the read did not fill.
+  std::memset(frame.data.get() + n, 0, kPageSize - static_cast<size_t>(n));
+  frame.file_id = file_id;
+  frame.page_no = page_no;
   frame.in_use = true;
   frame.dirty = false;
   frame.referenced = true;
-  shard.index.emplace(key, slot);
+  entry = static_cast<uint32_t>(slot + 1);
   ++shard.resident;
   return &frame;
 }
@@ -133,7 +163,9 @@ Status PageCache::EvictClock(Shard& shard, size_t* slot_out) {
     if (frame.dirty) {
       GLY_RETURN_NOT_OK(WritebackFrame(frame, &shard.stats));
     }
-    shard.index.erase(frame.key);
+    const uint64_t local = HomeOf(frame.file_id, frame.page_no).local;
+    shard.tables[frame.file_id][local >> kChunkBits]
+                [local & (kChunkPages - 1)] = 0;
     frame.in_use = false;
     --shard.resident;
     ++shard.stats.evictions;
@@ -145,17 +177,11 @@ Status PageCache::EvictClock(Shard& shard, size_t* slot_out) {
 
 Status PageCache::WritebackFrame(Frame& frame, PageCacheStats* stats) {
   GLY_FAULT_POINT("graphdb.pagecache.writeback");
-  int fd;
-  std::string path;
-  {
-    std::lock_guard<std::mutex> files_lock(files_mu_);
-    fd = fds_[frame.key.file_id];
-    path = paths_[frame.key.file_id];
-  }
-  ssize_t n = ::pwrite(fd, frame.data.data(), kPageSize,
-                       static_cast<off_t>(frame.key.page_no * kPageSize));
+  ssize_t n = ::pwrite(fds_[frame.file_id], frame.data.get(), kPageSize,
+                       static_cast<off_t>(frame.page_no * kPageSize));
   if (n != static_cast<ssize_t>(kPageSize)) {
-    return Status::IOError("pwrite(" + path + "): " + std::strerror(errno));
+    return Status::IOError("pwrite(" + paths_[frame.file_id] +
+                           "): " + std::strerror(errno));
   }
   frame.dirty = false;
   ++stats->writebacks;
@@ -164,16 +190,18 @@ Status PageCache::WritebackFrame(Frame& frame, PageCacheStats* stats) {
 
 Status PageCache::Read(uint32_t file_id, uint64_t offset, void* out,
                        size_t len) {
+  GLY_RETURN_NOT_OK(CheckAccess(file_id, offset, len));
   char* dst = static_cast<char*>(out);
   while (len > 0) {
-    uint64_t page_no = offset / kPageSize;
-    size_t in_page = static_cast<size_t>(offset % kPageSize);
-    size_t chunk = std::min(len, kPageSize - in_page);
-    Shard& shard = ShardFor(PageKey{file_id, page_no});
+    const uint64_t page_no = offset / kPageSize;
+    const size_t in_page = static_cast<size_t>(offset % kPageSize);
+    const size_t chunk = std::min(len, kPageSize - in_page);
+    const PageHome home = HomeOf(file_id, page_no);
     {
-      std::unique_lock<std::mutex> lock = LockShard(shard);
-      GLY_ASSIGN_OR_RETURN(Frame * frame, GetFrame(shard, file_id, page_no));
-      std::memcpy(dst, frame->data.data() + in_page, chunk);
+      std::unique_lock<std::mutex> lock = LockShard(*home.shard);
+      GLY_ASSIGN_OR_RETURN(Frame * frame,
+                           GetFrame(*home.shard, file_id, page_no, home.local));
+      std::memcpy(dst, frame->data.get() + in_page, chunk);
     }
     dst += chunk;
     offset += chunk;
@@ -184,16 +212,18 @@ Status PageCache::Read(uint32_t file_id, uint64_t offset, void* out,
 
 Status PageCache::Write(uint32_t file_id, uint64_t offset, const void* data,
                         size_t len) {
+  GLY_RETURN_NOT_OK(CheckAccess(file_id, offset, len));
   const char* src = static_cast<const char*>(data);
   while (len > 0) {
-    uint64_t page_no = offset / kPageSize;
-    size_t in_page = static_cast<size_t>(offset % kPageSize);
-    size_t chunk = std::min(len, kPageSize - in_page);
-    Shard& shard = ShardFor(PageKey{file_id, page_no});
+    const uint64_t page_no = offset / kPageSize;
+    const size_t in_page = static_cast<size_t>(offset % kPageSize);
+    const size_t chunk = std::min(len, kPageSize - in_page);
+    const PageHome home = HomeOf(file_id, page_no);
     {
-      std::unique_lock<std::mutex> lock = LockShard(shard);
-      GLY_ASSIGN_OR_RETURN(Frame * frame, GetFrame(shard, file_id, page_no));
-      std::memcpy(frame->data.data() + in_page, src, chunk);
+      std::unique_lock<std::mutex> lock = LockShard(*home.shard);
+      GLY_ASSIGN_OR_RETURN(Frame * frame,
+                           GetFrame(*home.shard, file_id, page_no, home.local));
+      std::memcpy(frame->data.get() + in_page, src, chunk);
       frame->dirty = true;
     }
     src += chunk;
@@ -212,10 +242,11 @@ Status PageCache::Flush() {
       }
     }
   }
-  std::lock_guard<std::mutex> lock(files_mu_);
-  for (int fd : fds_) {
-    if (fd >= 0 && ::fsync(fd) != 0) {
-      return Status::IOError(std::string("fsync: ") + std::strerror(errno));
+  const uint32_t files = num_files_.load(std::memory_order_acquire);
+  for (uint32_t i = 0; i < files; ++i) {
+    if (::fsync(fds_[i]) != 0) {
+      return Status::IOError("fsync(" + paths_[i] + "): " +
+                             std::strerror(errno));
     }
   }
   return Status::OK();

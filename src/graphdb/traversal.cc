@@ -12,15 +12,25 @@ Status Traverse(GraphStore* store, VertexId seed, TraversalOrder order,
                 Expand expand,
                 const std::function<bool(VertexId, uint32_t)>& visit,
                 TraversalStats* stats_out) {
+  std::vector<uint8_t> seen(store->node_count(), 0);
+  return Traverse(store, seed, order, expand, visit, &seen, stats_out);
+}
+
+Status Traverse(GraphStore* store, VertexId seed, TraversalOrder order,
+                Expand expand,
+                const std::function<bool(VertexId, uint32_t)>& visit,
+                std::vector<uint8_t>* seen, TraversalStats* stats_out) {
   if (seed >= store->node_count()) {
     return Status::InvalidArgument("seed node out of range");
   }
+  if (seen->size() < store->node_count()) {
+    return Status::InvalidArgument("visited array smaller than the store");
+  }
   TraversalStats stats;
-  std::vector<uint8_t> seen(store->node_count(), 0);
   // Frontier of (node, depth); front-pop for BFS, back-pop for DFS.
   std::deque<std::pair<VertexId, uint32_t>> frontier;
   frontier.emplace_back(seed, 0);
-  seen[seed] = 1;
+  (*seen)[seed] = 1;
   std::vector<VertexId> neighbors;
   while (!frontier.empty()) {
     auto [node, depth] = order == TraversalOrder::kBreadthFirst
@@ -38,8 +48,8 @@ Status Traverse(GraphStore* store, VertexId seed, TraversalOrder order,
         node, expand == Expand::kOutgoing, &neighbors));
     stats.relationships_expanded += neighbors.size();
     for (VertexId w : neighbors) {
-      if (!seen[w]) {
-        seen[w] = 1;
+      if (!(*seen)[w]) {
+        (*seen)[w] = 1;
         frontier.emplace_back(w, depth + 1);
       }
     }

@@ -6,7 +6,9 @@
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "graphdb/store.h"
 
@@ -31,6 +33,16 @@ struct TraversalStats {
 Status Traverse(GraphStore* store, VertexId seed, TraversalOrder order,
                 Expand expand,
                 const std::function<bool(VertexId, uint32_t)>& visit,
+                TraversalStats* stats_out = nullptr);
+
+/// As above, but discovers nodes into the caller's `seen` (one entry per
+/// node, nonzero = discovered) and never rediscovers a node it finds
+/// marked, so traversals over disjoint regions — CONN's one per
+/// component — share one array instead of zeroing a fresh one each.
+Status Traverse(GraphStore* store, VertexId seed, TraversalOrder order,
+                Expand expand,
+                const std::function<bool(VertexId, uint32_t)>& visit,
+                std::vector<uint8_t>* seen,
                 TraversalStats* stats_out = nullptr);
 
 }  // namespace gly::graphdb

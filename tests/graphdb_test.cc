@@ -614,6 +614,36 @@ TEST(TraversalTest, PruningStopsExpansion) {
   EXPECT_EQ(visited, 2u);  // 0 and 1; 2 never discovered
 }
 
+TEST(TraversalTest, SharedVisitedArraySkipsMarkedNodes) {
+  auto dir = TempDir::Create("gly-db");
+  ASSERT_TRUE(dir.ok());
+  StoreConfig config;
+  config.directory = dir->File("store");
+  auto store = GraphStore::Open(config);
+  ASSERT_TRUE(store.ok());
+  EdgeList edges;
+  edges.Add(0, 1);
+  edges.Add(1, 2);
+  edges.Add(2, 3);
+  ASSERT_TRUE((*store)->BulkImport(edges).ok());
+  std::vector<uint8_t> seen(4, 0);
+  seen[2] = 1;  // discovered by an earlier traversal: a wall
+  std::vector<VertexId> visited;
+  auto record = [&visited](VertexId v, uint32_t) {
+    visited.push_back(v);
+    return true;
+  };
+  ASSERT_TRUE(Traverse(store->get(), 0, TraversalOrder::kBreadthFirst,
+                       Expand::kBoth, record, &seen)
+                  .ok());
+  EXPECT_EQ(visited, (std::vector<VertexId>{0, 1}));
+  EXPECT_EQ(seen, (std::vector<uint8_t>{1, 1, 1, 0}));
+  std::vector<uint8_t> short_seen(2, 0);
+  EXPECT_FALSE(Traverse(store->get(), 0, TraversalOrder::kBreadthFirst,
+                        Expand::kBoth, record, &short_seen)
+                   .ok());
+}
+
 TEST(TraversalTest, RejectsBadSeed) {
   auto dir = TempDir::Create("gly-db");
   ASSERT_TRUE(dir.ok());
@@ -651,6 +681,65 @@ TEST(GraphDbAlgorithmsTest, AllAlgorithmsMatchReference) {
     EXPECT_TRUE(harness::ValidateOutput(g, kind, params, *out).ok())
         << AlgorithmKindName(kind);
   }
+}
+
+TEST(GraphDbAlgorithmsTest, ConnOverManyIsolatedVertices) {
+  // 3000 isolated vertices around three components (a path, a star, a
+  // triangle): every vertex is its own CONN start or joins its component.
+  EdgeList edges(3100);
+  for (VertexId v = 100; v < 109; ++v) edges.Add(v, v + 1);     // path
+  for (VertexId v = 1001; v < 1020; ++v) edges.Add(1000, v);    // star
+  edges.Add(2500, 2501);
+  edges.Add(2501, 2502);
+  edges.Add(2502, 2500);                                        // triangle
+  Graph g = GraphBuilder::Undirected(edges).ValueOrDie();
+  auto dir = TempDir::Create("gly-db");
+  ASSERT_TRUE(dir.ok());
+  AlgorithmParams params;
+  auto out = RunAlgorithm(DbConfig(*dir), g, AlgorithmKind::kConn, params);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(
+      harness::ValidateOutput(g, AlgorithmKind::kConn, params, *out).ok());
+  size_t labels = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (out->vertex_values[v] == static_cast<int64_t>(v)) ++labels;
+  }
+  // 3100 vertices, 10 + 20 + 3 of them in three components.
+  EXPECT_EQ(labels, 3100u - 33u + 3u);
+  EXPECT_EQ(out->vertex_values[109], 100);
+  EXPECT_EQ(out->vertex_values[1019], 1000);
+  EXPECT_EQ(out->vertex_values[2502], 2500);
+  EXPECT_EQ(out->traversed_edges, 2u * (9 + 19 + 3));
+}
+
+TEST(GraphDbAlgorithmsTest, IdenticalRunsReportTheSameCacheCounters) {
+  // Per-run counters: BulkImport's writes and earlier runs are not in them.
+  // The cache holds the whole store, so both runs are all hits.
+  Graph g = RandomUndirected(300, 1200, 46);
+  auto dir = TempDir::Create("gly-db");
+  ASSERT_TRUE(dir.ok());
+  StoreConfig config;
+  config.directory = dir->File("store");
+  config.page_cache_bytes = 4 << 20;
+  auto store = GraphStore::Open(config);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkImport(g.ToEdgeList()).ok());
+  AlgorithmParams params;
+  params.bfs.source = 3;
+  DbRunStats first;
+  DbRunStats second;
+  ASSERT_TRUE(RunAlgorithmOnStore(store->get(), true, 0, AlgorithmKind::kBfs,
+                                  params, &first)
+                  .ok());
+  ASSERT_TRUE(RunAlgorithmOnStore(store->get(), true, 0, AlgorithmKind::kBfs,
+                                  params, &second)
+                  .ok());
+  EXPECT_GT(first.cache.hits, 0u);
+  EXPECT_EQ(first.cache.hits, second.cache.hits);
+  EXPECT_EQ(first.cache.misses, second.cache.misses);
+  EXPECT_EQ(second.cache.misses, 0u);
+  EXPECT_EQ(first.cache.writebacks, 0u);
+  EXPECT_LT(second.cache.hits, (*store)->cache_stats().hits);
 }
 
 TEST(GraphDbAlgorithmsTest, FailsWhenGraphExceedsMemory) {
