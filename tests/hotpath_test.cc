@@ -13,11 +13,12 @@
 // paths on this graph and cross-checked against the pooled paths, which
 // reproduced every value. The graphdb page cache has its own oracle:
 // per-run cache counters of the graphdb algorithms and seeded cache traces,
-// recorded from the hash-indexed cache its translation tables replaced. Checksums cover PR's doubles bit for bit, so they
-// hold for IEEE builds without -ffast-math. A mismatch means the hot path
-// changed an answer, not that the oracle needs regenerating. Failure
-// behaviour (worker crash, mid-superstep cancellation, shuffle fault) is
-// checked on the one path. ci.sh runs the suite under both ASan and TSan.
+// recorded from the hash-indexed cache its translation tables replaced.
+// Checksums cover PR's doubles bit for bit, so they hold for IEEE builds
+// without -ffast-math. A mismatch means the hot path changed an answer,
+// not that the oracle needs regenerating. Failure behaviour (worker crash,
+// mid-superstep cancellation, shuffle fault) is checked on the one path.
+// ci.sh runs the suite under both ASan and TSan.
 
 #include <gtest/gtest.h>
 
@@ -647,7 +648,8 @@ TEST(PageCacheHotpath, OpenFileWhileReadersHammerAnotherFile) {
     auto id = cache.OpenFile(dir->File("second" + std::to_string(i) + ".db"));
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     const uint64_t tag = 1000 + i;
-    ASSERT_TRUE(cache.Write(*id, 3 * graphdb::kPageSize, &tag, sizeof(tag)).ok());
+    ASSERT_TRUE(
+        cache.Write(*id, 3 * graphdb::kPageSize, &tag, sizeof(tag)).ok());
     opened.push_back(*id);
   }
   stop.store(true);
@@ -672,7 +674,8 @@ TEST(PageCacheHotpath, PageNumbersPastTheBoundAreAStatus) {
   graphdb::PageCache cache(4 * graphdb::kPageSize, /*shards=*/1);
   auto file = cache.OpenFile(dir->File("bound.db"));
   ASSERT_TRUE(file.ok());
-  constexpr uint64_t kBound = graphdb::PageCache::kMaxPages * graphdb::kPageSize;
+  constexpr uint64_t kBound =
+      graphdb::PageCache::kMaxPages * graphdb::kPageSize;
   char buf[64];
   const uint64_t garbage[] = {graphdb::kNilRecord * 32,
                               graphdb::kNilRecord * 16,
@@ -686,11 +689,13 @@ TEST(PageCacheHotpath, PageNumbersPastTheBoundAreAStatus) {
     const Status read = cache.Read(*file, offset, buf, sizeof(buf));
     EXPECT_TRUE(read.IsInvalidArgument()) << offset << ": " << read.ToString();
     const Status write = cache.Write(*file, offset, buf, sizeof(buf));
-    EXPECT_TRUE(write.IsInvalidArgument()) << offset << ": " << write.ToString();
+    EXPECT_TRUE(write.IsInvalidArgument())
+        << offset << ": " << write.ToString();
   }
   std::memset(buf, 0x5a, sizeof(buf));
   ASSERT_TRUE(cache.Read(*file, kBound - sizeof(buf), buf, sizeof(buf)).ok());
-  EXPECT_TRUE(std::all_of(buf, buf + sizeof(buf), [](char c) { return c == 0; }));
+  EXPECT_TRUE(
+      std::all_of(buf, buf + sizeof(buf), [](char c) { return c == 0; }));
   EXPECT_TRUE(cache.Read(*file + 1, 0, buf, sizeof(buf)).IsInvalidArgument());
   const graphdb::PageCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);  // only the in-bound read reached the cache
